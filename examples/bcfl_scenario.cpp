@@ -1,4 +1,5 @@
-// bcfl_scenario — declarative scenario runner.
+// bcfl_scenario — declarative scenario runner, the one front door for
+// experiments.
 //
 // Executes a JSON ScenarioSpec (schema: docs/scenarios.md), fanning the
 // sweep grid out through the deterministic compute engine, and writes one
@@ -7,19 +8,27 @@
 //   $ ./build/examples/bcfl_scenario scenarios/paper_tradeoff.json
 //   $ ./build/examples/bcfl_scenario scenarios/churn.json --list
 //   $ ./build/examples/bcfl_scenario spec.json --out=/tmp/result.json
+//   $ ./build/examples/bcfl_scenario scenarios/paper_default.json
+//       --set rounds=2 --set wait_policy=deadline=60s --set data.alpha=0.5
 //
-// Flags:
-//   --list        expand and print the sweep grid without running it
-//   --out=PATH    output path        [BENCH_scenario_<name>.json in CWD]
-//   --threads=N   grid fan-out width [spec "threads", else BCFL_THREADS /
-//                 hardware default]
+// Flags ("--flag=VALUE" or "--flag VALUE"):
+//   --list            expand and print the sweep grid without running it
+//   --out=PATH        output path        [BENCH_scenario_<name>.json in CWD]
+//   --threads=N       grid fan-out width [spec "threads", else BCFL_THREADS /
+//                     hardware default]
+//   --set=KEY=VALUE   override one spec member before validation
+//                     (repeatable; KEY may be dotted: data.alpha,
+//                     network.latency_ms, topology.cluster_size, ...;
+//                     VALUE is JSON, or a plain string when not valid JSON)
 //
 // Output is a pure function of (spec, seed): the same spec produces
 // byte-identical JSON at any thread setting, which is what lets CI diff it
 // against bench/baselines/.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/scenario.hpp"
@@ -31,9 +40,27 @@ using namespace bcfl;
 int usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s <spec.json> [--list] [--out=PATH] "
-                 "[--threads=N]\n",
+                 "[--threads=N] [--set=KEY=VALUE ...]\n",
                  argv0);
     return 2;
+}
+
+/// Matches `--name=VALUE` or `--name VALUE` at argv[i] (advancing `i`
+/// past a separate value) and stores VALUE in `out`.
+bool parse_flag(int argc, char** argv, int& i, const char* name,
+                std::string& out) {
+    const char* arg = argv[i];
+    const std::size_t n = std::strlen(name);
+    if (std::strncmp(arg, name, n) != 0) return false;
+    if (arg[n] == '=') {
+        out = arg + n + 1;
+        return true;
+    }
+    if (arg[n] == '\0' && i + 1 < argc) {
+        out = argv[++i];
+        return true;
+    }
+    return false;
 }
 
 }  // namespace
@@ -42,21 +69,25 @@ int main(int argc, char** argv) {
     std::string spec_path;
     std::string out_path;
     bool list_only = false;
+    std::vector<std::string> overrides;
     std::size_t threads_flag = 0;
     bool threads_set = false;
 
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
+        std::string value;
         if (std::strcmp(arg, "--list") == 0) {
             list_only = true;
-        } else if (std::strncmp(arg, "--out=", 6) == 0) {
-            out_path = arg + 6;
-        } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+        } else if (parse_flag(argc, argv, i, "--out", value)) {
+            out_path = value;
+        } else if (parse_flag(argc, argv, i, "--set", value)) {
+            overrides.push_back(value);
+        } else if (parse_flag(argc, argv, i, "--threads", value)) {
             char* end = nullptr;
-            threads_flag = std::strtoull(arg + 10, &end, 10);
-            if (end == arg + 10 || *end != '\0') {
+            threads_flag = std::strtoull(value.c_str(), &end, 10);
+            if (value.empty() || *end != '\0') {
                 std::fprintf(stderr, "invalid --threads value: %s\n",
-                             arg + 10);
+                             value.c_str());
                 return usage(argv[0]);
             }
             threads_set = true;
@@ -72,7 +103,8 @@ int main(int argc, char** argv) {
     if (spec_path.empty()) return usage(argv[0]);
 
     try {
-        core::ScenarioSpec spec = core::load_scenario_file(spec_path);
+        core::ScenarioSpec spec =
+            core::load_scenario_file(spec_path, overrides);
         if (threads_set) spec.threads = threads_flag;
         const auto points = core::expand_grid(spec);
 

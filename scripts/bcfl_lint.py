@@ -63,7 +63,7 @@ directly above it):
 
   layering            Enforces the architecture include DAG
                       (common → crypto → {chain, ml, fl, vm} → net →
-                      core → node, declared as data in LAYER_DAG below):
+                      node → core, declared as data in LAYER_DAG below):
                       every `#include "..."` in src/ may only reach its
                       own layer or a layer beneath it. Generalizes
                       sim-coupling from one seam to the whole tree —
@@ -423,11 +423,11 @@ _MID_DEPS = frozenset({"common", "crypto", "rlp", "chain", "ml", "vm", "fl"})
 
 # The architecture DAG, declared as data: each src/ layer maps to the set
 # of layers it may #include (its own layer is always allowed). Reading
-# bottom-up: common → crypto/rlp → {chain, ml, fl, vm} → net → core →
-# node. Within the middle rank, vm builds on chain and fl on chain+ml.
-# node/ sits above core/ on this axis: the full node is what the peer and
-# experiment layers drive, and nothing beneath may reach up into it.
-# (docs/development.md renders the diagram; check_docs.sh keeps it there.)
+# bottom-up: common → crypto/rlp → {chain, ml, fl, vm} → net → node →
+# core. Within the middle rank, vm builds on chain and fl on chain+ml.
+# core/ is the top: the peer and experiment layers drive the assembled
+# node, and the node knows nothing of them.
+# (docs/development.md renders the diagram.)
 LAYER_DAG = {
     "common": frozenset(),
     "crypto": frozenset({"common"}),
@@ -437,8 +437,8 @@ LAYER_DAG = {
     "vm": frozenset({"common", "crypto", "rlp", "chain"}),
     "fl": frozenset({"common", "crypto", "rlp", "chain", "ml"}),
     "net": _MID_DEPS,
-    "core": _MID_DEPS | {"net"},
-    "node": _MID_DEPS | {"net", "core"},
+    "node": _MID_DEPS | {"net"},
+    "core": _MID_DEPS | {"net", "node"},
 }
 
 # Headers any layer may include regardless of the DAG. core/parallel.hpp
@@ -475,8 +475,8 @@ def rule_layering(path: str, lines: list[str]) -> list[Finding]:
                 "layering",
                 f'#include "{target}" reaches up from layer {layer}/ to '
                 f"{target_layer}/, against the architecture DAG "
-                f"(common → crypto → {{chain, ml, fl, vm}} → net → core "
-                f"→ node); {layer}/ may include only: "
+                f"(common → crypto → {{chain, ml, fl, vm}} → net → node "
+                f"→ core); {layer}/ may include only: "
                 + ", ".join(sorted(allowed) + [layer]),
             )
         )

@@ -22,10 +22,14 @@
 # 3. Parallel determinism: the micro_substrates serial-vs-parallel bench
 #    runs under both thread settings; the fitness fingerprints in
 #    BENCH_micro_substrates.json must be byte-identical.
-# 4. Scenario smoke: the checked-in ci_smoke spec (flat) and the
-#    hierarchical_ci_smoke spec (flat-vs-clustered sweep) run end-to-end
-#    at BCFL_THREADS=1 and 8 — each pair of JSON documents must be
-#    byte-identical (the scenario engine's determinism contract).
+# 4. Scenario smoke: the checked-in ci_smoke spec (flat), the
+#    hierarchical_ci_smoke spec (flat-vs-clustered sweep) and the paper's
+#    own wait-for-K sweep (paper_tradeoff) run end-to-end at
+#    BCFL_THREADS=1 and 8 — each pair of JSON documents must be
+#    byte-identical (the scenario engine's determinism contract). The
+#    paper's claim is then checked as relations on paper_tradeoff: mean
+#    round time strictly falls wait_all > K=2 > K=1, and final accuracy
+#    does not rise wait_all >= K=2 >= K=1.
 # 5. Chain parity: the deterministic long-chain and peers-axis scaling
 #    sections of the chain bench run
 #    (BCFL_CHAIN_BENCH_SECTIONS=long_chain,scaling) so their counts and
@@ -115,35 +119,44 @@ if [ "${serial_fp}" != "${parallel_fp}" ] || [ -z "${serial_fp}" ]; then
 fi
 echo "fingerprints identical: ${serial_fp}"
 
-echo "== scenario smoke: ci_smoke spec, byte-identical at 1 vs 8 threads =="
-(cd build && BCFL_THREADS=1 ./examples/bcfl_scenario ../scenarios/ci_smoke.json \
-  --out=BENCH_scenario_ci_smoke.threads1.json)
-(cd build && BCFL_THREADS=8 ./examples/bcfl_scenario ../scenarios/ci_smoke.json \
-  --out=BENCH_scenario_ci_smoke.json >/dev/null)
-if ! cmp -s build/BENCH_scenario_ci_smoke.threads1.json \
-            build/BENCH_scenario_ci_smoke.json; then
-  echo "SCENARIO DIVERGENCE between BCFL_THREADS=1 and BCFL_THREADS=8:"
-  diff build/BENCH_scenario_ci_smoke.threads1.json \
-       build/BENCH_scenario_ci_smoke.json || true
-  exit 1
-fi
-echo "scenario JSON byte-identical across thread counts"
+# Runs scenarios/<name>.json at BCFL_THREADS=1 and 8 into build/; the two
+# JSON documents must be byte-identical.
+scenario_determinism() {
+  local name="$1"
+  (cd build && BCFL_THREADS=1 ./examples/bcfl_scenario "../scenarios/${name}.json" \
+    --out="BENCH_scenario_${name}.threads1.json")
+  (cd build && BCFL_THREADS=8 ./examples/bcfl_scenario "../scenarios/${name}.json" \
+    --out="BENCH_scenario_${name}.json" >/dev/null)
+  if ! cmp -s "build/BENCH_scenario_${name}.threads1.json" \
+              "build/BENCH_scenario_${name}.json"; then
+    echo "SCENARIO DIVERGENCE (${name}) between BCFL_THREADS=1 and 8:"
+    diff "build/BENCH_scenario_${name}.threads1.json" \
+         "build/BENCH_scenario_${name}.json" || true
+    exit 1
+  fi
+  echo "${name}: scenario JSON byte-identical across thread counts"
+}
 
-echo "== scenario smoke: hierarchical spec, byte-identical at 1 vs 8 threads =="
-(cd build && BCFL_THREADS=1 ./examples/bcfl_scenario \
-  ../scenarios/hierarchical_ci_smoke.json \
-  --out=BENCH_scenario_hierarchical_ci_smoke.threads1.json)
-(cd build && BCFL_THREADS=8 ./examples/bcfl_scenario \
-  ../scenarios/hierarchical_ci_smoke.json \
-  --out=BENCH_scenario_hierarchical_ci_smoke.json >/dev/null)
-if ! cmp -s build/BENCH_scenario_hierarchical_ci_smoke.threads1.json \
-            build/BENCH_scenario_hierarchical_ci_smoke.json; then
-  echo "HIERARCHICAL SCENARIO DIVERGENCE between BCFL_THREADS=1 and 8:"
-  diff build/BENCH_scenario_hierarchical_ci_smoke.threads1.json \
-       build/BENCH_scenario_hierarchical_ci_smoke.json || true
-  exit 1
-fi
-echo "hierarchical scenario JSON byte-identical across thread counts"
+echo "== scenario smoke: ci_smoke, hierarchical_ci_smoke, paper_tradeoff at 1 vs 8 threads =="
+scenario_determinism ci_smoke
+scenario_determinism hierarchical_ci_smoke
+scenario_determinism paper_tradeoff
+
+echo "== paper claim: async shortens rounds, waiting keeps accuracy =="
+python3 - build/BENCH_scenario_paper_tradeoff.json <<'PY'
+import json, sys
+points = {p["wait_policy"]: p for p in json.load(open(sys.argv[1]))["points"]}
+order = ["wait_all,timeout=600s", "wait_for=2,timeout=600s",
+         "wait_for=1,timeout=600s"]
+rounds = [points[w]["mean_round_s"] for w in order]
+accuracy = [points[w]["final_accuracy"] for w in order]
+print("mean_round_s   wait_all, K=2, K=1:", rounds)
+print("final_accuracy wait_all, K=2, K=1:", accuracy)
+if not (rounds[0] > rounds[1] > rounds[2]
+        and accuracy[0] >= accuracy[1] >= accuracy[2]):
+    sys.exit("PAPER CLAIM BROKEN: expected rounds strictly falling and "
+             "accuracy non-rising from wait_all to K=1")
+PY
 
 echo "== chain parity: deterministic long-chain + peers-axis scaling sections =="
 (cd build && BCFL_CHAIN_BENCH_SECTIONS=long_chain,scaling \
@@ -156,6 +169,7 @@ echo "== bench-baseline gate: fresh JSON vs bench/baselines =="
 python3 scripts/bench_compare.py build/BENCH_micro_substrates.json \
   build/BENCH_scenario_ci_smoke.json \
   build/BENCH_scenario_hierarchical_ci_smoke.json \
+  build/BENCH_scenario_paper_tradeoff.json \
   build/BENCH_chain_performance.json \
   build/BENCH_vm_analysis.json
 

@@ -8,8 +8,9 @@
 //   * EffNet-lite consistently beats Simple NN, and aggregation combos
 //     separate in the decentralized tables.
 //
-// Every bench and example draws from these helpers so that Table I and
-// Tables II-IV come from one coherent deployment, as in the paper.
+// The scenario engine's defaults and the Table I-IV benches draw from
+// these helpers so that every experiment runs one coherent deployment, as
+// in the paper.
 #pragma once
 
 #include "core/experiment.hpp"
@@ -73,28 +74,5 @@ inline DecentralizedConfig paper_chain_config() {
     config.seed = 7;
     return config;
 }
-
-/// The paper's timeout scenario as a ready deployment: peer C is a
-/// straggler whose training outlasts the other peers' aggregation deadline
-/// every round, so a deadline-style policy takes the "not to wait" path and
-/// aggregates without C's current model. This is the setting where
-/// staleness-weighted aggregation (bench/async_staleness) earns its keep:
-/// C's previous-round model re-enters the mix at a decayed weight instead
-/// of being dropped entirely.
-inline DecentralizedConfig paper_straggler_config() {
-    DecentralizedConfig config = paper_chain_config();
-    config.rounds = 6;
-    config.wait_policy = "deadline=120s";
-    config.aggregation = "fedavg_all";
-    config.train_duration = net::seconds(45);
-    config.stragglers = {2};
-    config.straggler_train_duration = net::seconds(400);
-    return config;
-}
-
-/// Paper-reported serialized model sizes, used by the trade-off bench (E4)
-/// to run the chain-side at the real deployment's byte scale.
-constexpr std::size_t kPaperSimpleModelBytes = 248 * 1024;        // 248 KB
-constexpr std::size_t kPaperEffnetModelBytes = 21'200 * 1024ull;  // 21.2 MB
 
 }  // namespace bcfl::core

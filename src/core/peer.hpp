@@ -28,12 +28,6 @@
 #include "fl/combinations.hpp"
 #include "fl/task.hpp"
 #include "net/transport.hpp"
-// Legacy upward edge, pinned: the fully-coupled peer drives node::Node
-// directly (miner + mempool + chain view in one object). Inverting it
-// means hoisting a node-facade interface above this layer; until then
-// this line is the sanctioned exception — any NEW core/ → node/ include
-// fails the layering lint.
-// bcfl-lint: allow(layering)
 #include "node/node.hpp"
 
 namespace bcfl::core {

@@ -23,8 +23,9 @@
 // ReputationWeighted (exponentially-smoothed contributor quality history).
 // `make_wait_policy` / `make_aggregation_strategy` build any of them from
 // compact string specs such as "wait_for=3,timeout=900s" or
-// "schedule,1-5:wait_all,6+:deadline=600s", so deployments (and bcfl_cli)
-// can select policies without recompiling.
+// "schedule,1-5:wait_all,6+:deadline=600s", so deployments (and scenario
+// specs, including `bcfl_scenario --set` overrides) can select policies
+// without recompiling.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <utility>
 
 #include "common/error.hpp"
 #include "core/paper_setup.hpp"
@@ -316,9 +317,17 @@ const JsonValue* JsonValue::find(const std::string& key) const {
     return nullptr;
 }
 
+JsonValue* JsonValue::find(const std::string& key) {
+    return const_cast<JsonValue*>(std::as_const(*this).find(key));
+}
+
 JsonValue& JsonValue::set(const std::string& key, JsonValue value) {
     kind_ = Kind::object;
-    members_.emplace_back(key, std::move(value));
+    if (JsonValue* existing = find(key)) {
+        *existing = std::move(value);
+    } else {
+        members_.emplace_back(key, std::move(value));
+    }
     return *this;
 }
 
@@ -1011,10 +1020,47 @@ JsonValue point_json(const ScenarioPoint& point,
 
 constexpr std::size_t kMaxGridPoints = 1024;
 
+/// Applies one "KEY=VALUE" override to a parsed spec document (semantics
+/// in scenario.hpp). Intermediate objects of a dotted KEY are created when
+/// absent; a non-object in the way fails like it would in the file.
+void apply_override(JsonValue& doc, const std::string& assignment) {
+    const std::size_t eq = assignment.find('=');
+    if (eq == 0 || eq == std::string::npos) {
+        fail("override \"" + assignment + "\" must have the form KEY=VALUE");
+    }
+    const std::string path = assignment.substr(0, eq);
+    const std::string text = assignment.substr(eq + 1);
+    JsonValue value;
+    try {
+        value = JsonValue::parse(text);
+    } catch (const Error&) {
+        value = JsonValue(text);
+    }
+    JsonValue* target = &doc;
+    std::string context = "scenario document";
+    std::size_t begin = 0;
+    for (std::size_t dot = path.find('.'); dot != std::string::npos;
+         begin = dot + 1, dot = path.find('.', begin)) {
+        const std::string key = path.substr(begin, dot - begin);
+        (void)target->members(context);
+        if (target->find(key) == nullptr) {
+            target->set(key, JsonValue::object());
+        }
+        target = target->find(key);
+        context = key;
+    }
+    (void)target->members(context);
+    target->set(path.substr(begin), std::move(value));
+}
+
 }  // namespace
 
-ScenarioSpec parse_scenario(std::string_view json_text) {
-    const JsonValue doc = JsonValue::parse(json_text);
+ScenarioSpec parse_scenario(std::string_view json_text,
+                            const std::vector<std::string>& overrides) {
+    JsonValue doc = JsonValue::parse(json_text);
+    for (const std::string& assignment : overrides) {
+        apply_override(doc, assignment);
+    }
     ScenarioSpec spec;
     spec.data = paper_data_config();
     spec.base = paper_chain_config();
@@ -1183,7 +1229,8 @@ ScenarioSpec parse_scenario(std::string_view json_text) {
     return spec;
 }
 
-ScenarioSpec load_scenario_file(const std::string& path) {
+ScenarioSpec load_scenario_file(const std::string& path,
+                                const std::vector<std::string>& overrides) {
     std::FILE* file = std::fopen(path.c_str(), "rb");
     if (file == nullptr) {
         fail("cannot open spec file \"" + path + "\"");
@@ -1199,7 +1246,7 @@ ScenarioSpec load_scenario_file(const std::string& path) {
     if (read_failed) {
         fail("error reading spec file \"" + path + "\"");
     }
-    return parse_scenario(text);
+    return parse_scenario(text, overrides);
 }
 
 std::vector<ScenarioPoint> expand_grid(const ScenarioSpec& spec) {

@@ -81,7 +81,10 @@ public:
     members(const std::string& context) const;
     /// Object member lookup; nullptr when absent.
     [[nodiscard]] const JsonValue* find(const std::string& key) const;
+    [[nodiscard]] JsonValue* find(const std::string& key);
 
+    /// Replaces the member named `key` in place, or appends it when absent,
+    /// so member order stays that of first insertion.
     JsonValue& set(const std::string& key, JsonValue value);
     JsonValue& push(JsonValue value);
 
@@ -137,10 +140,20 @@ struct ScenarioSpec {
 /// Parses and validates a spec document (policy specs are instantiated,
 /// network references checked against the peer count, every sweep value
 /// dry-applied). Throws Error with a "scenario:" prefix on any problem.
-[[nodiscard]] ScenarioSpec parse_scenario(std::string_view json_text);
+///
+/// Each entry of `overrides` is a "KEY=VALUE" assignment applied to the
+/// parsed document before validation, so a bad override fails exactly as
+/// the same member written in the file would. KEY is a member name, dotted
+/// to reach into nested objects ("data.alpha", "network.latency_ms");
+/// VALUE is parsed as JSON, and taken as a plain string when it is not
+/// valid JSON ("wait_policy=deadline=60s"). The member is replaced in
+/// place, or appended when absent.
+[[nodiscard]] ScenarioSpec parse_scenario(
+    std::string_view json_text, const std::vector<std::string>& overrides = {});
 
 /// Reads `path` and parses it; file errors and parse errors both throw.
-[[nodiscard]] ScenarioSpec load_scenario_file(const std::string& path);
+[[nodiscard]] ScenarioSpec load_scenario_file(
+    const std::string& path, const std::vector<std::string>& overrides = {});
 
 struct ScenarioPoint {
     std::string label;  // "wait_policy=deadline=120s;loss=0.05" or "base"

@@ -1,7 +1,7 @@
-// Known-good fixture for the `layering` rule: node/ is the top layer on
-// the include axis, so reaching down into chain/, net/ and the
-// sanctioned core/parallel.hpp leaf is all within the DAG. Must produce
-// no findings.
+// Known-good fixture for the `layering` rule: node/ sits just beneath
+// core/ on the include axis, so reaching down into chain/ and net/ is
+// within the DAG, and core/parallel.hpp is the sanctioned leaf every
+// layer may name. Must produce no findings.
 #include "chain/blockchain.hpp"
 #include "core/parallel.hpp"
 #include "net/transport.hpp"

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/parallel.hpp"
@@ -30,6 +33,12 @@ TEST(JsonValue, DumpRoundTripsPreservingMemberOrder) {
     const std::string text =
         R"({"z":1,"a":[true,null,"x"],"m":{"k":0.5}})";
     EXPECT_EQ(JsonValue::parse(text).dump(), text);
+}
+
+TEST(JsonValue, SetReplacesAnExistingMemberInPlace) {
+    JsonValue doc = JsonValue::object().set("a", 1).set("b", 2);
+    doc.set("a", "x").set("c", true);
+    EXPECT_EQ(doc.dump(), R"({"a":"x","b":2,"c":true})");
 }
 
 TEST(JsonValue, RejectsMalformedDocuments) {
@@ -331,6 +340,80 @@ TEST(ScenarioSpec, GridExpandsInDeclarationOrderLastAxisFastest) {
     EXPECT_EQ(points[3].label, "loss=0.5;seed=2");
     EXPECT_EQ(points[3].config.seed, 2u);
     EXPECT_DOUBLE_EQ(points[3].config.link.loss_rate, 0.5);
+}
+
+// ------------------------------------------------------------ overrides
+
+TEST(ScenarioSpec, OverridesReplaceMembersBeforeValidation) {
+    const ScenarioSpec spec = parse_scenario(
+        minimal_spec(R"(,"stragglers":[2],"data":{"alpha":5})"),
+        {"rounds=4", "wait_policy=deadline=60s", "stragglers=[]",
+         "data.alpha=0.5", "network.latency_ms=7", "model=effnet"});
+    EXPECT_EQ(spec.base.rounds, 4u);
+    EXPECT_EQ(spec.base.wait_policy, "deadline=60s");
+    EXPECT_TRUE(spec.base.stragglers.empty());
+    EXPECT_DOUBLE_EQ(spec.data.dirichlet_alpha, 0.5);
+    EXPECT_EQ(spec.base.link.latency, net::from_seconds(7 / 1e3));
+    EXPECT_EQ(spec.model, "effnet");
+}
+
+TEST(ScenarioSpec, BadOverridesFailLikeTheSameMemberInTheFile) {
+    const auto error_of = [](const std::string& text,
+                             const std::vector<std::string>& overrides) {
+        try {
+            (void)parse_scenario(text, overrides);
+        } catch (const Error& error) {
+            return std::string(error.what());
+        }
+        return std::string();
+    };
+    const struct {
+        const char* assignment;
+        const char* member;
+    } cases[] = {
+        {"frobnicate=1", R"(,"frobnicate":1)"},            // unknown key
+        {"data.samples=5", R"(,"data":{"samples":5})"},    // unknown nested
+        {"loss=1.5", R"(,"loss":1.5)"},                    // out of range
+        {"seed=many", R"(,"seed":"many")"},                // wrong type
+        {"wait_policy=wait_for=", R"(,"wait_policy":"wait_for=")"},
+        {"stragglers=[7]", R"(,"stragglers":[7])"},        // off the roster
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.assignment);
+        const std::string from_file = error_of(minimal_spec(c.member), {});
+        EXPECT_FALSE(from_file.empty());
+        EXPECT_EQ(error_of(minimal_spec(), {c.assignment}), from_file);
+    }
+    // A dotted key cannot reach through a non-object.
+    EXPECT_EQ(error_of(minimal_spec(R"(,"data":5)"), {"data.alpha=1"}),
+              error_of(minimal_spec(R"(,"data":5)"), {}));
+    // Not an assignment at all.
+    EXPECT_THROW((void)parse_scenario(minimal_spec(), {"rounds"}), Error);
+    EXPECT_THROW((void)parse_scenario(minimal_spec(), {"=3"}), Error);
+}
+
+// ----------------------------------------------------- checked-in specs
+
+// Experiments exist only as specs, so a spec that rots must fail here
+// rather than on its next manual run.
+TEST(ScenarioSpec, EveryCheckedInSpecParsesAndExpands) {
+    std::vector<std::filesystem::path> specs;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::filesystem::path(BCFL_SOURCE_DIR) / "scenarios")) {
+        if (entry.path().extension() == ".json") {
+            specs.push_back(entry.path());
+        }
+    }
+    std::sort(specs.begin(), specs.end());
+    ASSERT_FALSE(specs.empty());
+    for (const std::filesystem::path& path : specs) {
+        SCOPED_TRACE(path.string());
+        ScenarioSpec spec;
+        ASSERT_NO_THROW(spec = load_scenario_file(path.string()));
+        // The name picks the output file, BENCH_scenario_<name>.json.
+        EXPECT_EQ(spec.name, path.stem().string());
+        EXPECT_FALSE(expand_grid(spec).empty());
+    }
 }
 
 // ------------------------------------------------------- end-to-end runs

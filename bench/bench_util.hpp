@@ -39,15 +39,6 @@ inline double best_wall_ms(std::size_t reps,
     return best;
 }
 
-/// Appends one value to a determinism fingerprint at full round-trip
-/// precision. Every bench fingerprint that ci.sh diffs across
-/// BCFL_THREADS settings must go through this one formatter.
-inline void append_fingerprint(std::string& out, double value) {
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g;", value);
-    out += buffer;
-}
-
 inline void print_rule(std::size_t width = 100) {
     std::string line(width, '-');
     std::printf("%s\n", line.c_str());

@@ -373,7 +373,7 @@ std::string fitness_fingerprint(const core::AggregationResult& result) {
     for (const core::ComboAccuracy& row : result.combos) {
         out += row.label;
         out.push_back('=');
-        bench::append_fingerprint(out, row.accuracy);
+        core::append_fingerprint(out, row.accuracy);
     }
     return out;
 }

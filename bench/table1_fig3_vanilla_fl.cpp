@@ -121,7 +121,7 @@ std::string accuracy_fingerprint(const fl::VanillaResult& result) {
     std::string out;
     for (const fl::VanillaRound& round : result.rounds) {
         for (double accuracy : round.client_accuracy) {
-            bench::append_fingerprint(out, accuracy);
+            core::append_fingerprint(out, accuracy);
         }
     }
     return out;

@@ -23,13 +23,15 @@
 #    runs under both thread settings; the fitness fingerprints in
 #    BENCH_micro_substrates.json must be byte-identical.
 # 4. Scenario smoke: the checked-in ci_smoke spec (flat), the
-#    hierarchical_ci_smoke spec (flat-vs-clustered sweep) and the paper's
-#    own wait-for-K sweep (paper_tradeoff) run end-to-end at
-#    BCFL_THREADS=1 and 8 — each pair of JSON documents must be
-#    byte-identical (the scenario engine's determinism contract). The
-#    paper's claim is then checked as relations on paper_tradeoff: mean
-#    round time strictly falls wait_all > K=2 > K=1, and final accuracy
-#    does not rise wait_all >= K=2 >= K=1.
+#    hierarchical_ci_smoke spec (flat-vs-clustered sweep), the paper's
+#    own wait-for-K sweep (paper_tradeoff) and async_staleness (the only
+#    spec that drives staleness_fedavg and reputation through the
+#    stale-backfill path) run end-to-end at BCFL_THREADS=1 and 8 — each
+#    pair of JSON documents must be byte-identical (the scenario engine's
+#    determinism contract). The paper's claim is then checked as
+#    relations on paper_tradeoff: mean round time strictly falls
+#    wait_all > K=2 > K=1, and final accuracy does not rise
+#    wait_all >= K=2 >= K=1.
 # 5. Chain parity: the deterministic long-chain and peers-axis scaling
 #    sections of the chain bench run
 #    (BCFL_CHAIN_BENCH_SECTIONS=long_chain,scaling) so their counts and
@@ -137,10 +139,11 @@ scenario_determinism() {
   echo "${name}: scenario JSON byte-identical across thread counts"
 }
 
-echo "== scenario smoke: ci_smoke, hierarchical_ci_smoke, paper_tradeoff at 1 vs 8 threads =="
+echo "== scenario smoke: ci_smoke, hierarchical_ci_smoke, paper_tradeoff, async_staleness at 1 vs 8 threads =="
 scenario_determinism ci_smoke
 scenario_determinism hierarchical_ci_smoke
 scenario_determinism paper_tradeoff
+scenario_determinism async_staleness
 
 echo "== paper claim: async shortens rounds, waiting keeps accuracy =="
 python3 - build/BENCH_scenario_paper_tradeoff.json <<'PY'
@@ -170,6 +173,7 @@ python3 scripts/bench_compare.py build/BENCH_micro_substrates.json \
   build/BENCH_scenario_ci_smoke.json \
   build/BENCH_scenario_hierarchical_ci_smoke.json \
   build/BENCH_scenario_paper_tradeoff.json \
+  build/BENCH_scenario_async_staleness.json \
   build/BENCH_chain_performance.json \
   build/BENCH_vm_analysis.json
 

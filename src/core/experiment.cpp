@@ -119,14 +119,15 @@ DecentralizedResult run_decentralized(const fl::FlTask& task,
         if (topo.has_value()) {
             PeerTierConfig& tier = peer_config.tier;
             tier.top_head = topo->top_head;
-            tier.head_policy = config.topology.head_policy;
-            tier.head_aggregation = config.topology.head_aggregation;
             tier.top_policy = config.topology.top_policy;
             tier.top_aggregation = config.topology.top_aggregation;
             tier.member_timeout = config.topology.member_timeout;
             if (const std::optional<std::size_t> slot = head_slot(i);
                 slot.has_value()) {
                 tier.cluster = topo->clusters[*slot];
+                // A head's member phase runs the tier-1 specs.
+                peer_config.wait_policy = config.topology.head_policy;
+                peer_config.aggregation = config.topology.head_aggregation;
                 if (i == topo->top_head) {
                     tier.role = TierRole::top_head;
                     tier.clusters = topo->clusters;

@@ -1,6 +1,7 @@
 #include "core/peer.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "fl/fedavg.hpp"
@@ -30,13 +31,15 @@ BcflPeer::BcflPeer(node::Node& node, const fl::FlTask& task,
         throw Error("peer: node key does not match roster entry");
     }
     const TierRole role = config_.tier.role;
-    if (role == TierRole::head || role == TierRole::top_head) {
-        if (config_.tier.cluster.empty()) {
-            throw Error("peer: head role without a cluster");
-        }
-        head_policy_ = make_wait_policy(config_.tier.head_policy);
-        head_aggregation_ =
-            make_aggregation_strategy(config_.tier.head_aggregation);
+    if (role == TierRole::flat) {
+        // The single-tier round: the member phase over the whole roster.
+        config_.tier.cluster.resize(roster_.size());
+        std::iota(config_.tier.cluster.begin(), config_.tier.cluster.end(),
+                  std::size_t{0});
+    }
+    if ((role == TierRole::head || role == TierRole::top_head) &&
+        config_.tier.cluster.empty()) {
+        throw Error("peer: head role without a cluster");
     }
     if (role == TierRole::top_head) {
         if (config_.tier.heads.empty() ||
@@ -160,24 +163,11 @@ void BcflPeer::finish_training() {
     }
     records_.back().published_at = transport_.now();
 
-    switch (config_.tier.role) {
-        case TierRole::flat:
-            // Hand control to the WaitPolicy: it decides, from the
-            // evolving chain view, when this round's aggregation happens.
-            waiting_ = true;
-            ++wait_generation_;
-            timer_pending_ = false;
-            wait_policy_->begin_wait(round_view());
-            poll_wait_policy();
-            return;
-        case TierRole::member:
-            enter_phase(Phase::wait_global);
-            return;
-        case TierRole::head:
-        case TierRole::top_head:
-            enter_phase(Phase::wait_members);
-            return;
-    }
+    // Members wait for the round's global model; every other role hands
+    // control to its WaitPolicy, which decides, from the evolving chain
+    // view, when this round's aggregation happens.
+    enter_phase(config_.tier.role == TierRole::member ? Phase::wait_global
+                                                      : Phase::wait_members);
 }
 
 void BcflPeer::publish_weights(std::uint64_t registry_round,
@@ -232,68 +222,41 @@ std::optional<std::vector<float>> BcflPeer::chain_weights(
     }
 }
 
-RoundView BcflPeer::round_view() {
-    store_.sync(node_.chain());
-    RoundView view;
-    view.round = current_round_;
-    view.roster_size = roster_.size();
-    view.now = transport_.now();
-    view.wait_started = records_.back().published_at;
-    for (std::size_t c = 0; c < roster_.size(); ++c) {
-        if (c == config_.index) {
-            ++view.models_available;  // own update is local
-            continue;
-        }
-        if (const PublishedModel* m = store_.find(current_round_, roster_[c]);
-            m != nullptr && m->complete()) {
-            ++view.models_available;
-        } else if (aggregation_->wants_stale_updates() &&
-                   store_.latest_complete(roster_[c], current_round_) !=
-                       nullptr) {
-            // Backfill candidate. Counted only when the strategy will
-            // actually consume stale models — the lookup walks the model
-            // map and this runs on every head event and policy timer.
-            ++view.stale_available;
-        }
+void BcflPeer::enter_phase(Phase phase) {
+    phase_ = phase;
+    phase_started_ = transport_.now();
+    waiting_ = true;
+    ++wait_generation_;  // cancels the previous phase's pending timers
+    timer_pending_ = false;
+    // Phase::wait_global is a plain deadline wait; no policy to arm.
+    if (phase != Phase::wait_global) {
+        (phase == Phase::wait_clusters ? *top_policy_ : *wait_policy_)
+            .begin_wait(round_view(phase));
     }
-    return view;
+    poll_wait_policy();
+}
+
+void BcflPeer::end_wait() {
+    waiting_ = false;
+    ++wait_generation_;  // cancels pending policy timers
+    timer_pending_ = false;
 }
 
 void BcflPeer::poll_wait_policy() {
     if (!waiting_) return;
-    // Hierarchical phases carry their own (policy, view, aggregate) triple;
-    // Phase::idle while waiting means the flat single-tier loop.
-    WaitPolicy* policy = wait_policy_.get();
-    RoundView view;
-    switch (phase_) {
-        case Phase::idle:
-            view = round_view();
-            break;
-        case Phase::wait_members:
-            policy = head_policy_.get();
-            view = cluster_view();
-            break;
-        case Phase::wait_clusters:
-            policy = top_policy_.get();
-            view = top_view();
-            break;
-        case Phase::wait_global:
-            poll_wait_global();
-            return;
-    }
-    const WaitDecision decision = policy->decide(view);
-    if (decision != WaitDecision::keep_waiting) {
-        const bool timed_out = decision == WaitDecision::timed_out;
-        if (phase_ == Phase::wait_members) {
-            aggregate_members(timed_out);
-        } else if (phase_ == Phase::wait_clusters) {
-            aggregate_clusters(timed_out);
-        } else {
-            aggregate(timed_out);
-        }
+    if (phase_ == Phase::wait_global) {
+        poll_wait_global();
         return;
     }
-    if (const auto deadline = policy->next_deadline(view);
+    WaitPolicy& policy =
+        phase_ == Phase::wait_clusters ? *top_policy_ : *wait_policy_;
+    const RoundView view = round_view(phase_);
+    const WaitDecision decision = policy.decide(view);
+    if (decision != WaitDecision::keep_waiting) {
+        aggregate(decision == WaitDecision::timed_out);
+        return;
+    }
+    if (const auto deadline = policy.next_deadline(view);
         deadline.has_value()) {
         schedule_policy_timer(*deadline);
     }
@@ -314,311 +277,85 @@ void BcflPeer::schedule_policy_timer(net::SimTime when) {
     });
 }
 
-void BcflPeer::enter_phase(Phase phase) {
-    phase_ = phase;
-    phase_started_ = transport_.now();
-    waiting_ = true;
-    ++wait_generation_;  // cancels the previous phase's pending timers
-    timer_pending_ = false;
-    if (phase == Phase::wait_members) {
-        head_policy_->begin_wait(cluster_view());
-    } else if (phase == Phase::wait_clusters) {
-        top_policy_->begin_wait(top_view());
-    }
-    // Phase::wait_global is a plain deadline wait; no policy to arm.
-    poll_wait_policy();
-}
-
-RoundView BcflPeer::cluster_view() {
+RoundView BcflPeer::round_view(Phase phase) {
     store_.sync(node_.chain());
+    const bool clusters = phase == Phase::wait_clusters;
+    const std::vector<std::size_t>& contributors =
+        clusters ? config_.tier.heads : config_.tier.cluster;
+    const std::uint64_t registry_round = tier_round(
+        clusters ? ModelKind::cluster : ModelKind::member, current_round_);
     RoundView view;
     view.round = current_round_;
-    view.roster_size = config_.tier.cluster.size();
+    view.roster_size = contributors.size();
     view.now = transport_.now();
     view.wait_started = phase_started_;
-    const std::uint64_t member_round =
-        tier_round(ModelKind::member, current_round_);
-    for (std::size_t m : config_.tier.cluster) {
-        if (m == config_.index) {
-            ++view.models_available;  // own update is local
+    for (std::size_t c : contributors) {
+        if (c == config_.index) {
+            ++view.models_available;  // own update or cluster model is local
             continue;
         }
-        if (const PublishedModel* model = store_.find(member_round, roster_[m]);
-            model != nullptr && model->complete()) {
-            ++view.models_available;
-        }
-        // Tier aggregation never backfills stale models: a straggler's
-        // earlier-round weights re-enter through the next round instead.
-    }
-    return view;
-}
-
-RoundView BcflPeer::top_view() {
-    store_.sync(node_.chain());
-    RoundView view;
-    view.round = current_round_;
-    view.roster_size = config_.tier.heads.size();
-    view.now = transport_.now();
-    view.wait_started = phase_started_;
-    const std::uint64_t cluster_round =
-        tier_round(ModelKind::cluster, current_round_);
-    for (std::size_t h : config_.tier.heads) {
-        if (h == config_.index) {
-            ++view.models_available;  // own cluster model is local
-            continue;
-        }
-        if (const PublishedModel* model =
-                store_.find(cluster_round, roster_[h]);
-            model != nullptr && model->complete()) {
+        if (const PublishedModel* m = store_.find(registry_round, roster_[c]);
+            m != nullptr && m->complete()) {
             ++view.models_available;
         }
     }
     return view;
 }
 
-void BcflPeer::aggregate_members(bool timed_out) {
-    waiting_ = false;
-    ++wait_generation_;
-    timer_pending_ = false;
+AggregationResult BcflPeer::run_strategy(Phase phase,
+                                         std::size_t& collected) {
     store_.sync(node_.chain());
-
     PeerRoundRecord& record = records_.back();
-    record.timed_out = record.timed_out || timed_out;
 
-    // Tier-1 inputs: the cluster's member models, in sorted member order.
+    // The phase's inputs, in contributor order, with their provenance
+    // (origin round, on-chain arrival, staleness); what to do with them
+    // (combination search, FedAvg, robust trimming, staleness decay,
+    // fitness filtering) is entirely the AggregationStrategy's business.
     // roster_indices/names stay in the *global* index space so combination
-    // labels and reputation tracking read the same across tiers.
-    const std::uint64_t member_round =
-        tier_round(ModelKind::member, current_round_);
+    // labels and reputation tracking read the same across tiers. Only a
+    // flat peer backfills missing contributors with their newest
+    // earlier-round model, and only for a strategy that opts in via
+    // wants_stale_updates: in a tier a straggler's earlier-round weights
+    // re-enter through the next round instead.
+    const bool clusters = phase == Phase::wait_clusters;
+    const std::vector<std::size_t>& contributors =
+        clusters ? config_.tier.heads : config_.tier.cluster;
+    const std::uint64_t registry_round = tier_round(
+        clusters ? ModelKind::cluster : ModelKind::member, current_round_);
+    const bool backfill_stale = config_.tier.role == TierRole::flat &&
+                                aggregation_->wants_stale_updates();
     std::vector<fl::ModelUpdate> updates;
     std::vector<std::size_t> roster_indices;
     std::vector<UpdateMeta> meta;
     std::size_t self_pos = 0;
-    for (std::size_t m : config_.tier.cluster) {
-        if (m == config_.index) {
-            self_pos = updates.size();
-            updates.push_back(
-                {own_update_,
-                 static_cast<double>(task_.client_train[m].size())});
-            roster_indices.push_back(m);
-            meta.push_back({current_round_, record.published_at, 0});
-            continue;
-        }
-        auto weights = chain_weights(member_round, roster_[m]);
-        if (!weights.has_value()) continue;
-        const PublishedModel* model = store_.find(member_round, roster_[m]);
-        updates.push_back(
-            {std::move(*weights),
-             static_cast<double>(task_.client_train[m].size())});
-        roster_indices.push_back(m);
-        meta.push_back({current_round_, model->completed_at, 0});
-    }
-
-    AggregationInput input;
-    input.updates = updates;
-    input.roster_indices = roster_indices;
-    input.meta = meta;
-    input.self_pos = self_pos;
-    input.roster_size = roster_.size();
-    input.round = current_round_;
-    input.now = transport_.now();
-    input.names = client_names();
-    input.evaluate = [this](std::span<const float> candidate) {
-        probe_->set_weights(candidate);
-        return probe_->evaluate(task_.client_test[config_.index]);
-    };
-    input.make_evaluator =
-        [this]() -> std::function<double(std::span<const float>)> {
-        std::shared_ptr<fl::FlModel> probe = task_.make_model();
-        return [this, probe](std::span<const float> candidate) {
-            probe->set_weights(candidate);
-            return probe->evaluate(task_.client_test[config_.index]);
-        };
-    };
-    AggregationResult outcome = head_aggregation_->aggregate(input);
-
-    cluster_weights_ = std::move(outcome.weights);
-    record.combos = std::move(outcome.combos);
-    record.filtered_out = std::move(outcome.filtered_out);
-    record.models_available = updates.size() - record.filtered_out.size();
-    record.chosen_label = std::move(outcome.chosen_label);
-    record.chosen_accuracy = outcome.chosen_accuracy;
-
-    if (config_.tier.role == TierRole::top_head) {
-        enter_phase(Phase::wait_clusters);
-        return;
-    }
-    publish_weights(tier_round(ModelKind::cluster, current_round_),
-                    cluster_weights_);
-    enter_phase(Phase::wait_global);
-}
-
-void BcflPeer::aggregate_clusters(bool timed_out) {
-    waiting_ = false;
-    ++wait_generation_;
-    timer_pending_ = false;
-    store_.sync(node_.chain());
-
-    PeerRoundRecord& record = records_.back();
-    record.timed_out = record.timed_out || timed_out;
-
-    // Tier-2 inputs: one update per cluster, weighted by the cluster's
-    // total training-set size. The weight is static (configured data
-    // sizes, not per-round arrivals) — exact under wait_all at tier 1 and
-    // a documented simplification when a head aggregated a partial
-    // cluster.
-    const std::uint64_t cluster_round =
-        tier_round(ModelKind::cluster, current_round_);
-    std::vector<fl::ModelUpdate> updates;
-    std::vector<std::size_t> roster_indices;
-    std::vector<UpdateMeta> meta;
-    std::size_t self_pos = 0;
-    for (std::size_t k = 0; k < config_.tier.heads.size(); ++k) {
-        const std::size_t head = config_.tier.heads[k];
+    for (std::size_t k = 0; k < contributors.size(); ++k) {
+        const std::size_t c = contributors[k];
+        // A cluster model is weighted by the cluster's total training-set
+        // size. The weight is static (configured data sizes, not per-round
+        // arrivals) — exact under wait_all at tier 1 and a documented
+        // simplification when a head aggregated a partial cluster.
         double samples = 0.0;
-        for (std::size_t m : config_.tier.clusters[k]) {
-            samples += static_cast<double>(task_.client_train[m].size());
-        }
-        if (head == config_.index) {
-            self_pos = updates.size();
-            updates.push_back({cluster_weights_, samples});
-            roster_indices.push_back(head);
-            meta.push_back({current_round_, transport_.now(), 0});
-            continue;
-        }
-        auto weights = chain_weights(cluster_round, roster_[head]);
-        if (!weights.has_value()) continue;
-        const PublishedModel* model = store_.find(cluster_round, roster_[head]);
-        updates.push_back({std::move(*weights), samples});
-        roster_indices.push_back(head);
-        meta.push_back({current_round_, model->completed_at, 0});
-    }
-
-    AggregationInput input;
-    input.updates = updates;
-    input.roster_indices = roster_indices;
-    input.meta = meta;
-    input.self_pos = self_pos;
-    input.roster_size = roster_.size();
-    input.round = current_round_;
-    input.now = transport_.now();
-    input.names = client_names();
-    input.evaluate = [this](std::span<const float> candidate) {
-        probe_->set_weights(candidate);
-        return probe_->evaluate(task_.client_test[config_.index]);
-    };
-    input.make_evaluator =
-        [this]() -> std::function<double(std::span<const float>)> {
-        std::shared_ptr<fl::FlModel> probe = task_.make_model();
-        return [this, probe](std::span<const float> candidate) {
-            probe->set_weights(candidate);
-            return probe->evaluate(task_.client_test[config_.index]);
-        };
-    };
-    AggregationResult outcome = top_aggregation_->aggregate(input);
-
-    publish_weights(tier_round(ModelKind::global, current_round_),
-                    outcome.weights);
-    global_weights_ = std::move(outcome.weights);
-    // Keep the tier-1 rows and append the tier-2 ones: one record carries
-    // the whole round's table rows, like a flat round does.
-    record.combos.insert(record.combos.end(),
-                         std::make_move_iterator(outcome.combos.begin()),
-                         std::make_move_iterator(outcome.combos.end()));
-    record.chosen_label = "global";
-    record.chosen_accuracy = outcome.chosen_accuracy;
-    complete_round();
-}
-
-void BcflPeer::poll_wait_global() {
-    store_.sync(node_.chain());
-    PeerRoundRecord& record = records_.back();
-    const auto evaluate = [this](const std::vector<float>& weights) {
-        probe_->set_weights(weights);
-        return probe_->evaluate(task_.client_test[config_.index]);
-    };
-    if (auto weights =
-            chain_weights(tier_round(ModelKind::global, current_round_),
-                          roster_[config_.tier.top_head]);
-        weights.has_value()) {
-        waiting_ = false;
-        ++wait_generation_;
-        timer_pending_ = false;
-        global_weights_ = std::move(*weights);
-        record.chosen_label = "global";
-        record.chosen_accuracy = evaluate(global_weights_);
-        if (config_.tier.role == TierRole::member) {
-            record.models_available = 1;  // the adopted global model
-        }
-        complete_round();
-        return;
-    }
-    const net::SimTime deadline =
-        phase_started_ + config_.tier.member_timeout;
-    if (transport_.now() >= deadline) {
-        // Give up on this round's global model: fall back to the best
-        // model this role holds and move on (the "not to wait" branch at
-        // the hierarchy's edges).
-        waiting_ = false;
-        ++wait_generation_;
-        timer_pending_ = false;
-        record.timed_out = true;
-        if (config_.tier.role == TierRole::head) {
-            global_weights_ = cluster_weights_;
-            record.chosen_label = "cluster";
+        if (clusters) {
+            for (std::size_t m : config_.tier.clusters[k]) {
+                samples += static_cast<double>(task_.client_train[m].size());
+            }
         } else {
-            global_weights_ = own_update_;
-            record.chosen_label = "self";
+            samples = static_cast<double>(task_.client_train[c].size());
         }
-        record.chosen_accuracy = evaluate(global_weights_);
-        complete_round();
-        return;
-    }
-    schedule_policy_timer(deadline);
-}
-
-void BcflPeer::complete_round() {
-    records_.back().aggregated_at = transport_.now();
-    ++completed_rounds_;
-    phase_ = Phase::idle;
-    begin_round();
-}
-
-void BcflPeer::aggregate(bool timed_out) {
-    waiting_ = false;
-    ++wait_generation_;  // cancels pending policy timers
-    timer_pending_ = false;
-    store_.sync(node_.chain());
-
-    PeerRoundRecord& record = records_.back();
-
-    // Collect this round's available updates in roster order, with their
-    // provenance (origin round, on-chain arrival, staleness); what to do
-    // with them (combination search, FedAvg, robust trimming, staleness
-    // decay, fitness filtering) is entirely the AggregationStrategy's
-    // business. Strategies that opt in via wants_stale_updates get missing
-    // contributors backfilled with their newest earlier-round model.
-    const bool backfill_stale = aggregation_->wants_stale_updates();
-    std::vector<fl::ModelUpdate> updates;
-    std::vector<std::size_t> roster_indices;
-    std::vector<UpdateMeta> meta;
-    std::size_t self_pos = 0;
-    for (std::size_t c = 0; c < roster_.size(); ++c) {
         if (c == config_.index) {
             self_pos = updates.size();
-            updates.push_back(
-                {own_update_,
-                 static_cast<double>(task_.client_train[c].size())});
+            updates.push_back({clusters ? cluster_weights_ : own_update_,
+                               samples});
             roster_indices.push_back(c);
-            meta.push_back({current_round_, record.published_at, 0});
+            meta.push_back({current_round_,
+                            clusters ? transport_.now() : record.published_at,
+                            0});
             continue;
         }
-        if (auto weights = chain_weights(current_round_, roster_[c]);
+        if (auto weights = chain_weights(registry_round, roster_[c]);
             weights.has_value()) {
-            const PublishedModel* m = store_.find(current_round_, roster_[c]);
-            updates.push_back(
-                {std::move(*weights),
-                 static_cast<double>(task_.client_train[c].size())});
+            const PublishedModel* m = store_.find(registry_round, roster_[c]);
+            updates.push_back({std::move(*weights), samples});
             roster_indices.push_back(c);
             meta.push_back({current_round_, m->completed_at, 0});
             continue;
@@ -629,9 +366,7 @@ void BcflPeer::aggregate(bool timed_out) {
         if (stale == nullptr) continue;
         auto weights = chain_weights(stale->round, roster_[c]);
         if (!weights.has_value()) continue;  // integrity check failed
-        updates.push_back(
-            {std::move(*weights),
-             static_cast<double>(task_.client_train[c].size())});
+        updates.push_back({std::move(*weights), samples});
         roster_indices.push_back(c);
         meta.push_back({static_cast<std::size_t>(stale->round),
                         stale->completed_at,
@@ -639,8 +374,7 @@ void BcflPeer::aggregate(bool timed_out) {
                             static_cast<std::size_t>(stale->round)});
         ++record.stale_models_used;
     }
-
-    record.timed_out = timed_out;
+    collected = updates.size();
 
     AggregationInput input;
     input.updates = updates;
@@ -667,17 +401,98 @@ void BcflPeer::aggregate(bool timed_out) {
             return probe->evaluate(task_.client_test[config_.index]);
         };
     };
-    AggregationResult outcome = aggregation_->aggregate(input);
+    return (clusters ? *top_aggregation_ : *aggregation_).aggregate(input);
+}
 
-    global_weights_ = std::move(outcome.weights);
-    record.combos = std::move(outcome.combos);
+void BcflPeer::aggregate(bool timed_out) {
+    end_wait();
+    PeerRoundRecord& record = records_.back();
+    record.timed_out = record.timed_out || timed_out;
+
+    std::size_t collected = 0;
+    AggregationResult outcome = run_strategy(phase_, collected);
+    // Keep earlier phases' rows and append this one's: one record carries
+    // the whole round's table rows.
+    record.combos.insert(record.combos.end(),
+                         std::make_move_iterator(outcome.combos.begin()),
+                         std::make_move_iterator(outcome.combos.end()));
+    record.chosen_accuracy = outcome.chosen_accuracy;
+
+    if (phase_ == Phase::wait_clusters) {
+        publish_weights(tier_round(ModelKind::global, current_round_),
+                        outcome.weights);
+        global_weights_ = std::move(outcome.weights);
+        record.chosen_label = "global";
+        complete_round();
+        return;
+    }
     record.filtered_out = std::move(outcome.filtered_out);
     // Models that actually entered aggregation (fitness-filtered updates
     // excluded, matching the pre-policy-API record semantics).
-    record.models_available = updates.size() - record.filtered_out.size();
+    record.models_available = collected - record.filtered_out.size();
     record.chosen_label = std::move(outcome.chosen_label);
-    record.chosen_accuracy = outcome.chosen_accuracy;
-    complete_round();
+    if (config_.tier.role == TierRole::flat) {
+        global_weights_ = std::move(outcome.weights);
+        complete_round();
+        return;
+    }
+    cluster_weights_ = std::move(outcome.weights);
+    if (config_.tier.role == TierRole::top_head) {
+        enter_phase(Phase::wait_clusters);
+        return;
+    }
+    publish_weights(tier_round(ModelKind::cluster, current_round_),
+                    cluster_weights_);
+    enter_phase(Phase::wait_global);
+}
+
+void BcflPeer::poll_wait_global() {
+    store_.sync(node_.chain());
+    PeerRoundRecord& record = records_.back();
+    const auto evaluate = [this](const std::vector<float>& weights) {
+        probe_->set_weights(weights);
+        return probe_->evaluate(task_.client_test[config_.index]);
+    };
+    if (auto weights =
+            chain_weights(tier_round(ModelKind::global, current_round_),
+                          roster_[config_.tier.top_head]);
+        weights.has_value()) {
+        end_wait();
+        global_weights_ = std::move(*weights);
+        record.chosen_label = "global";
+        record.chosen_accuracy = evaluate(global_weights_);
+        if (config_.tier.role == TierRole::member) {
+            record.models_available = 1;  // the adopted global model
+        }
+        complete_round();
+        return;
+    }
+    const net::SimTime deadline =
+        phase_started_ + config_.tier.member_timeout;
+    if (transport_.now() >= deadline) {
+        // Give up on this round's global model: fall back to the best
+        // model this role holds and move on (the "not to wait" branch at
+        // the hierarchy's edges).
+        end_wait();
+        record.timed_out = true;
+        if (config_.tier.role == TierRole::head) {
+            global_weights_ = cluster_weights_;
+            record.chosen_label = "cluster";
+        } else {
+            global_weights_ = own_update_;
+            record.chosen_label = "self";
+        }
+        record.chosen_accuracy = evaluate(global_weights_);
+        complete_round();
+        return;
+    }
+    schedule_policy_timer(deadline);
+}
+
+void BcflPeer::complete_round() {
+    records_.back().aggregated_at = transport_.now();
+    ++completed_rounds_;
+    begin_round();
 }
 
 std::string BcflPeer::client_names() const {

@@ -14,6 +14,14 @@
 //      — the rows of Tables II, III and IV.
 //
 // The wait/aggregation axis is fully pluggable: see core/policy.hpp.
+//
+// Steps 3 and 4 are one wait-then-aggregate loop over a phase: a set of
+// contributors whose models this peer waits for on chain, then aggregates.
+// A flat round is the single-tier case, the member phase over the whole
+// roster. In a hierarchical topology a cluster head runs the member phase
+// over its own cluster and publishes the cluster model; the top head then
+// runs the clusters phase over the heads' cluster models and publishes the
+// round's global model, which every other peer adopts (core/topology.hpp).
 #pragma once
 
 #include <atomic>
@@ -37,13 +45,15 @@ namespace bcfl::core {
 enum class TierRole : std::uint8_t { flat, member, head, top_head };
 
 /// Per-peer tier wiring, derived from a ResolvedTopology by the experiment
-/// runner. Fields beyond a role's needs may stay empty: members use only
-/// `top_head` and `member_timeout`; heads add `cluster` and the head
-/// specs; the top head additionally needs `heads`, `clusters` and the top
-/// specs.
+/// runner. Fields beyond a role's needs may stay empty: a flat peer uses
+/// none; members use only `top_head` and `member_timeout`; heads add
+/// `cluster`; the top head additionally needs `heads`, `clusters` and the
+/// top specs. Every aggregating role takes its member-phase specs from
+/// PeerConfig::wait_policy and PeerConfig::aggregation.
 struct PeerTierConfig {
     TierRole role = TierRole::flat;
-    /// Own cluster's members (sorted, including self) — head roles.
+    /// Own cluster's members (sorted, including self): the member-phase
+    /// contributors of a head role. A flat peer's are the whole roster.
     std::vector<std::size_t> cluster;
     /// All clusters (normalized) — top head only, for cluster weighting.
     std::vector<std::vector<std::size_t>> clusters;
@@ -52,9 +62,7 @@ struct PeerTierConfig {
     /// Roster index of the tier-2 aggregator publishing the global model.
     std::size_t top_head = 0;
 
-    /// Tier policy/aggregation factory specs (core/policy.hpp).
-    std::string head_policy = "wait_all,timeout=900s";
-    std::string head_aggregation = "fedavg_all";
+    /// Clusters-phase policy/aggregation factory specs (core/policy.hpp).
     std::string top_policy = "wait_all,timeout=900s";
     std::string top_aggregation = "fedavg_all";
 
@@ -82,16 +90,16 @@ struct PeerConfig {
     /// missing and take their configured asynchronous path.
     net::SimTime start_delay = 0;
 
-    /// WaitPolicy factory spec (see core/policy.hpp), e.g.
+    /// Member-phase WaitPolicy factory spec (see core/policy.hpp), e.g.
     /// "wait_all,timeout=900s", "adaptive,base=60s,extend=30s,max=300s" or
     /// "schedule,1-5:wait_all,6+:deadline=600s".
     std::string wait_policy = "wait_for=3,timeout=900s";
-    /// AggregationStrategy factory spec, e.g. "best_combination",
-    /// "trimmed_mean,trim=1" or "staleness_fedavg,half_life=2r".
+    /// Member-phase AggregationStrategy factory spec, e.g.
+    /// "best_combination", "trimmed_mean,trim=1" or
+    /// "staleness_fedavg,half_life=2r".
     std::string aggregation = "best_combination";
 
-    /// Hierarchical wiring; `tier.role == flat` leaves the original
-    /// single-tier loop untouched (bit-identical output).
+    /// Hierarchical wiring; `tier.role == flat` is the single-tier round.
     PeerTierConfig tier;
 };
 
@@ -136,23 +144,13 @@ public:
     [[nodiscard]] const std::vector<float>& current_weights() const {
         return global_weights_;
     }
-    [[nodiscard]] std::size_t index() const { return config_.index; }
-    [[nodiscard]] const node::Node& node() const { return node_; }
-    [[nodiscard]] const WaitPolicy& wait_policy() const {
-        return *wait_policy_;
-    }
-    [[nodiscard]] const AggregationStrategy& aggregation() const {
-        return *aggregation_;
-    }
 
 private:
-    /// Hierarchical round progress. A flat peer stays in `idle` between
-    /// training and its single aggregation; hierarchical roles step through
-    /// the tiers: heads wait_members -> (publish cluster model) ->
-    /// wait_global; the top head wait_members -> wait_clusters; members go
-    /// straight to wait_global after publishing.
+    /// Round progress after publishing. Flat peers and heads wait in
+    /// wait_members; a head then publishes its cluster model and goes to
+    /// wait_global, the top head goes to wait_clusters; members go straight
+    /// to wait_global.
     enum class Phase : std::uint8_t {
-        idle,
         wait_members,
         wait_clusters,
         wait_global,
@@ -162,28 +160,29 @@ private:
     void finish_training();
     void publish_weights(std::uint64_t registry_round,
                          const std::vector<float>& weights);
-    /// Consults the WaitPolicy against the current chain view and either
-    /// aggregates or (re)schedules the policy's next deadline.
+    /// Arms `phase` (its WaitPolicy, for the two aggregating phases) and
+    /// polls it once.
+    void enter_phase(Phase phase);
+    /// Closes the current wait and cancels its pending timers.
+    void end_wait();
+    /// Consults the phase's WaitPolicy against the current chain view and
+    /// either aggregates or (re)schedules the policy's next deadline.
     void poll_wait_policy();
     void schedule_policy_timer(net::SimTime when);
-    [[nodiscard]] RoundView round_view();
+    /// Chain view over the phase's contributors.
+    [[nodiscard]] RoundView round_view(Phase phase);
+    /// Collects the phase's available updates in contributor order, with
+    /// their provenance, and runs the phase's AggregationStrategy over
+    /// them. `collected` receives the number of updates handed over.
+    [[nodiscard]] AggregationResult run_strategy(Phase phase,
+                                                 std::size_t& collected);
+    /// Records the phase's aggregate, then publishes it, adopts it or moves
+    /// on to the next phase, as the role requires.
     void aggregate(bool timed_out);
     [[nodiscard]] std::string client_names() const;
     [[nodiscard]] std::optional<std::vector<float>> chain_weights(
         std::uint64_t round, const Address& owner) const;
 
-    // --- hierarchical tiers (no-ops for TierRole::flat) ---
-    /// Arms `phase` with the matching tier policy and polls it once.
-    void enter_phase(Phase phase);
-    /// Chain view over this head's cluster members (tier-1 wait).
-    [[nodiscard]] RoundView cluster_view();
-    /// Chain view over the cluster heads' cluster models (tier-2 wait).
-    [[nodiscard]] RoundView top_view();
-    /// Head: aggregates member models into the cluster model and either
-    /// publishes it (plain head) or advances to wait_clusters (top head).
-    void aggregate_members(bool timed_out);
-    /// Top head: merges cluster models into the round's global model.
-    void aggregate_clusters(bool timed_out);
     /// Member/head: adopts the published global model (or falls back to the
     /// best local tier model after member_timeout).
     void poll_wait_global();
@@ -198,11 +197,9 @@ private:
     std::vector<Address> roster_;
     PeerConfig config_;
 
+    // Member-phase policies, and the clusters-phase ones (top head only).
     std::unique_ptr<WaitPolicy> wait_policy_;
     std::unique_ptr<AggregationStrategy> aggregation_;
-    // Tier policies (constructed only for the roles that use them).
-    std::unique_ptr<WaitPolicy> head_policy_;
-    std::unique_ptr<AggregationStrategy> head_aggregation_;
     std::unique_ptr<WaitPolicy> top_policy_;
     std::unique_ptr<AggregationStrategy> top_aggregation_;
 
@@ -220,7 +217,7 @@ private:
     std::uint64_t wait_generation_ = 0;
     bool timer_pending_ = false;           // a policy deadline is scheduled
     net::SimTime timer_at_ = 0;
-    Phase phase_ = Phase::idle;
+    Phase phase_ = Phase::wait_members;
     net::SimTime phase_started_ = 0;
     std::vector<float> cluster_weights_;   // head's tier-1 aggregate
     std::vector<PeerRoundRecord> records_;

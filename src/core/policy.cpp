@@ -211,6 +211,20 @@ ComboAccuracy make_row(const fl::Combination& kept_combo,
     return row;
 }
 
+/// Finishes a single-combo AggregationResult (identity combination over
+/// `kept`, evaluated on the local test set) — shared by every
+/// single-candidate strategy.
+void finish_single_combo(const AggregationInput& input,
+                         std::span<const std::size_t> kept,
+                         AggregationResult& result) {
+    result.chosen_accuracy = input.evaluate(result.weights);
+    fl::Combination identity(kept.size());
+    for (std::size_t i = 0; i < kept.size(); ++i) identity[i] = i;
+    result.combos.push_back(
+        make_row(identity, kept, input, result.chosen_accuracy));
+    result.chosen_label = result.combos.back().label;
+}
+
 std::string format_double(double v) {
     char buffer[32];
     std::snprintf(buffer, sizeof(buffer), "%g", v);
@@ -320,12 +334,7 @@ AggregationResult FedAvgAll::aggregate(const AggregationInput& input) {
         fitness_filter(input, fitness_threshold_, result);
 
     result.weights = fl::fedavg_subset(input.updates, kept);
-    const double accuracy = input.evaluate(result.weights);
-    fl::Combination identity(kept.size());
-    for (std::size_t i = 0; i < kept.size(); ++i) identity[i] = i;
-    result.combos.push_back(make_row(identity, kept, input, accuracy));
-    result.chosen_label = result.combos.back().label;
-    result.chosen_accuracy = accuracy;
+    finish_single_combo(input, kept, result);
     return result;
 }
 
@@ -377,12 +386,7 @@ AggregationResult TrimmedMean::aggregate(const AggregationInput& input) {
         fitness_filter(input, fitness_threshold_, result);
 
     result.weights = trimmed_mean(input.updates, kept, trim_);
-    const double accuracy = input.evaluate(result.weights);
-    fl::Combination identity(kept.size());
-    for (std::size_t i = 0; i < kept.size(); ++i) identity[i] = i;
-    result.combos.push_back(make_row(identity, kept, input, accuracy));
-    result.chosen_label = result.combos.back().label;
-    result.chosen_accuracy = accuracy;
+    finish_single_combo(input, kept, result);
     return result;
 }
 
@@ -413,20 +417,6 @@ std::vector<float> scaled_fedavg(const AggregationInput& input,
     }
     if (total <= 0.0) return fl::fedavg_subset(input.updates, kept);
     return fl::fedavg(scaled);
-}
-
-/// Finishes a single-combo AggregationResult (identity combination over
-/// `kept`, evaluated on the local test set) — shared by the weighted
-/// strategies.
-void finish_single_combo(const AggregationInput& input,
-                         std::span<const std::size_t> kept,
-                         AggregationResult& result) {
-    result.chosen_accuracy = input.evaluate(result.weights);
-    fl::Combination identity(kept.size());
-    for (std::size_t i = 0; i < kept.size(); ++i) identity[i] = i;
-    result.combos.push_back(
-        make_row(identity, kept, input, result.chosen_accuracy));
-    result.chosen_label = result.combos.back().label;
 }
 
 }  // namespace
@@ -540,33 +530,41 @@ struct SpecToken {
     bool has_value = false;
 };
 
-std::vector<SpecToken> tokenize_spec(const std::string& spec) {
-    std::vector<SpecToken> tokens;
+/// Splits a raw spec on commas, trimming whitespace but keeping each
+/// segment's text verbatim (the schedule parser needs raw "N-M:sub" pieces,
+/// not key/value pairs).
+std::vector<std::string> raw_segments(const std::string& spec) {
+    std::vector<std::string> segments;
     std::size_t begin = 0;
     while (begin <= spec.size()) {
         std::size_t end = spec.find(',', begin);
         if (end == std::string::npos) end = spec.size();
-        std::string token = spec.substr(begin, end - begin);
-        // Trim surrounding whitespace.
-        const auto first = token.find_first_not_of(" \t");
-        const auto last = token.find_last_not_of(" \t");
-        token = first == std::string::npos
-                    ? std::string{}
-                    : token.substr(first, last - first + 1);
-        if (!token.empty()) {
-            SpecToken parsed;
-            const std::size_t eq = token.find('=');
-            if (eq == std::string::npos) {
-                parsed.key = token;
-            } else {
-                parsed.key = token.substr(0, eq);
-                parsed.value = token.substr(eq + 1);
-                parsed.has_value = true;
-            }
-            tokens.push_back(std::move(parsed));
-        }
+        std::string segment = spec.substr(begin, end - begin);
+        const auto first = segment.find_first_not_of(" \t");
+        const auto last = segment.find_last_not_of(" \t");
+        segment = first == std::string::npos
+                      ? std::string{}
+                      : segment.substr(first, last - first + 1);
+        if (!segment.empty()) segments.push_back(std::move(segment));
         if (end == spec.size()) break;
         begin = end + 1;
+    }
+    return segments;
+}
+
+std::vector<SpecToken> tokenize_spec(const std::string& spec) {
+    std::vector<SpecToken> tokens;
+    for (std::string& segment : raw_segments(spec)) {
+        SpecToken parsed;
+        const std::size_t eq = segment.find('=');
+        if (eq == std::string::npos) {
+            parsed.key = std::move(segment);
+        } else {
+            parsed.key = segment.substr(0, eq);
+            parsed.value = segment.substr(eq + 1);
+            parsed.has_value = true;
+        }
+        tokens.push_back(std::move(parsed));
     }
     return tokens;
 }
@@ -596,28 +594,6 @@ double parse_double(const std::string& spec, const SpecToken& token) {
     } catch (const std::exception&) {
         bad_spec(spec, "bad number \"" + token.value + "\"");
     }
-}
-
-/// Splits a raw spec on commas, trimming whitespace but keeping each
-/// segment's text verbatim (the schedule parser needs raw "N-M:sub" pieces,
-/// not key/value pairs).
-std::vector<std::string> raw_segments(const std::string& spec) {
-    std::vector<std::string> segments;
-    std::size_t begin = 0;
-    while (begin <= spec.size()) {
-        std::size_t end = spec.find(',', begin);
-        if (end == std::string::npos) end = spec.size();
-        std::string segment = spec.substr(begin, end - begin);
-        const auto first = segment.find_first_not_of(" \t");
-        const auto last = segment.find_last_not_of(" \t");
-        segment = first == std::string::npos
-                      ? std::string{}
-                      : segment.substr(first, last - first + 1);
-        if (!segment.empty()) segments.push_back(std::move(segment));
-        if (end == spec.size()) break;
-        begin = end + 1;
-    }
-    return segments;
 }
 
 /// Round-range prefix of a schedule segment: "1-5:", "6+:" or "4:". Returns

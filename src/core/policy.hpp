@@ -51,12 +51,6 @@ struct RoundView {
     std::size_t round = 0;             // 1-based communication round
     std::size_t roster_size = 0;       // total participants
     std::size_t models_available = 0;  // complete models visible (incl. own)
-    /// Roster members without a current-round model whose most recent
-    /// *earlier*-round model is complete on chain — the candidates a
-    /// staleness-aware strategy can backfill from if the policy gives up.
-    /// Populated only when the peer's strategy opts into stale updates
-    /// (`wants_stale_updates`); always 0 otherwise.
-    std::size_t stale_available = 0;
     net::SimTime now = 0;              // current simulated time
     net::SimTime wait_started = 0;     // when this peer began waiting
 };
@@ -286,11 +280,12 @@ public:
     /// `make_aggregation_strategy`).
     [[nodiscard]] virtual std::string spec() const = 0;
 
-    /// When true, the peer backfills roster members that have no
+    /// When true, a flat peer backfills roster members that have no
     /// current-round model with their most recent earlier-round model
     /// (provenance recorded in AggregationInput::meta) before aggregating —
-    /// the asynchronous FLchain idiom. Strategies that cannot discount
-    /// stale updates keep the default fresh-only view.
+    /// the asynchronous FLchain idiom. Tier aggregation never backfills.
+    /// Strategies that cannot discount stale updates keep the default
+    /// fresh-only view.
     [[nodiscard]] virtual bool wants_stale_updates() const { return false; }
 
 protected:

@@ -918,12 +918,6 @@ std::string label_value(const JsonValue& value) {
     }
 }
 
-void append_fingerprint(std::string& out, double value) {
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g;", value);
-    out += buffer;
-}
-
 JsonValue point_json(const ScenarioPoint& point,
                      const DecentralizedResult& result) {
     JsonValue overrides = JsonValue::object();
@@ -1326,6 +1320,12 @@ JsonValue run_scenario(const ScenarioSpec& spec, const fl::FlTask& task) {
         .set("seed", spec.base.seed)
         .set("grid_points", static_cast<std::uint64_t>(points.size()))
         .set("points", std::move(point_array));
+}
+
+void append_fingerprint(std::string& out, double value) {
+    char buffer[40];
+    std::snprintf(buffer, sizeof(buffer), "%.17g;", value);
+    out += buffer;
 }
 
 void write_scenario_json(const std::string& path, const JsonValue& doc) {

@@ -177,4 +177,9 @@ struct ScenarioPoint {
 /// failure.
 void write_scenario_json(const std::string& path, const JsonValue& doc);
 
+/// Appends one value to a determinism fingerprint at full round-trip
+/// precision. Every fingerprint that CI diffs across BCFL_THREADS settings
+/// (scenario points and benches alike) must go through this one formatter.
+void append_fingerprint(std::string& out, double value);
+
 }  // namespace bcfl::core

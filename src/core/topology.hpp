@@ -15,7 +15,8 @@
 //   tier 0  every peer trains and publishes its member model;
 //   tier 1  each cluster head runs `head_policy` over its members' model
 //           txs, aggregates with `head_aggregation` and publishes one
-//           cluster-model tx;
+//           cluster-model tx (heads take these two specs as their
+//           PeerConfig::wait_policy and PeerConfig::aggregation);
 //   tier 2  the top head (the lowest-indexed cluster head) runs
 //           `top_policy` over the cluster models and publishes the round's
 //           global model, which every peer adopts.
@@ -43,7 +44,8 @@ struct TopologyConfig {
 
     /// Tier-1 WaitPolicy / AggregationStrategy factory specs (the same
     /// factories flat rounds use — see core/policy.hpp) a cluster head
-    /// applies over its members' model txs.
+    /// applies over its members' model txs. The experiment runner passes
+    /// them to heads as PeerConfig::wait_policy / PeerConfig::aggregation.
     std::string head_policy = "wait_all,timeout=900s";
     std::string head_aggregation = "fedavg_all";
     /// Tier-2 specs the top head applies over the cluster models.

@@ -174,6 +174,37 @@ TEST(HierarchyRun, AllPeersAdoptIdenticalGlobalModelUnderWaitAll) {
     }
 }
 
+TEST(HierarchyRun, TierAggregationNeverBackfillsStaleModels) {
+    // A head whose strategy opts into stale updates still aggregates only
+    // current-round member models: a straggler's earlier-round weights
+    // re-enter through the next round, never as a backfill.
+    const fl::FlTask task = tiny_task();
+    DecentralizedConfig config;
+    config.peers = 6;
+    config.rounds = 4;
+    config.aggregation = "fedavg_all";
+    config.train_duration = net::seconds(10);
+    config.seed = 13;
+    config.stragglers = {4};
+    config.straggler_train_duration = net::seconds(150);
+    config.topology.cluster_size = 3;
+    config.topology.head_policy = "wait_all,timeout=30s";
+    config.topology.head_aggregation = "staleness_fedavg,half_life=1r";
+    const DecentralizedResult result = run_decentralized(task, config);
+    bool head_timed_out = false;
+    for (const auto& records : result.peer_records) {
+        ASSERT_FALSE(records.empty());
+        for (const PeerRoundRecord& record : records) {
+            EXPECT_EQ(record.stale_models_used, 0u)
+                << "round " << record.round << " backfilled a stale model";
+            head_timed_out = head_timed_out || record.timed_out;
+        }
+    }
+    // The straggler must actually miss a head's deadline, or the test
+    // never reaches the path where a backfill could happen.
+    EXPECT_TRUE(head_timed_out);
+}
+
 TEST(HierarchyRun, BenchJsonByteIdenticalAcrossThreadCounts) {
     const ScenarioSpec spec =
         parse_scenario(hier_spec_text("[[0,1,2],[3,4,5]]"));

@@ -30,7 +30,9 @@
 #include "fl/task.hpp"
 #include "ml/data.hpp"
 #include "ml/layers.hpp"
+#include "ml/loss.hpp"
 #include "ml/models.hpp"
+#include "ml/optimizer.hpp"
 #include "rlp/rlp.hpp"
 #include "vm/analysis.hpp"
 #include "vm/evm.hpp"
@@ -316,26 +318,87 @@ void BM_VmAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_VmAnalysis)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void BM_MatmulNN(benchmark::State& state) {
-    const std::size_t n = static_cast<std::size_t>(state.range(0));
-    std::vector<float> a(n * n, 1.5f), b(n * n, 0.5f), out(n * n);
-    for (auto _ : state) {
-        ml::matmul_nn(a.data(), b.data(), out.data(), n, n, n, false);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 * n *
-                            n * n);
+// ---------------------------------------------------------------------------
+// GEMM: the three training kernels, reported in multiply-accumulates per
+// second (MAC/s). {32, 432, 96} is the SimpleNN step: a batch of 32,
+// 12x12x3 = 432 inputs, 96 hidden units. nn is its forward pass, tn its
+// weight gradient and nt an input gradient of that size.
+
+std::vector<float> normal_values(std::size_t size, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<float> values(size);
+    for (float& v : values) v = static_cast<float>(rng.normal());
+    return values;
 }
-BENCHMARK(BM_MatmulNN)->Arg(64)->Arg(128)->Arg(256);
+
+template <auto kMatmul>
+void BM_Matmul(benchmark::State& state) {
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    const auto n = static_cast<std::size_t>(state.range(2));
+    const std::vector<float> a = normal_values(m * k, 1);
+    const std::vector<float> b = normal_values(k * n, 2);
+    std::vector<float> out(m * n);
+    for (auto _ : state) {
+        kMatmul(a.data(), b.data(), out.data(), m, k, n, false);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["MAC/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * static_cast<double>(m) *
+            static_cast<double>(k) * static_cast<double>(n),
+        benchmark::Counter::kIsRate);
+}
+void BM_MatmulNN(benchmark::State& state) { BM_Matmul<ml::matmul_nn>(state); }
+void BM_MatmulTN(benchmark::State& state) { BM_Matmul<ml::matmul_tn>(state); }
+void BM_MatmulNT(benchmark::State& state) { BM_Matmul<ml::matmul_nt>(state); }
+BENCHMARK(BM_MatmulNN)
+    ->Args({64, 64, 64})
+    ->Args({128, 128, 128})
+    ->Args({256, 256, 256})
+    ->Args({32, 432, 96});
+BENCHMARK(BM_MatmulTN)->Args({432, 32, 96});
+BENCHMARK(BM_MatmulNT)->Args({32, 96, 432});
+
+/// A batch of 32 from the synthetic CIFAR stand-in the experiments train
+/// on: clamped to [0, 1], so it holds the exact zeros real inputs do.
+ml::Dataset simple_nn_batch() {
+    ml::SyntheticCifarConfig config;
+    config.clients = 1;
+    config.train_per_client = 32;
+    config.test_per_client = 1;
+    config.global_test = 1;
+    return ml::make_synthetic_cifar(config).client_train[0];
+}
 
 void BM_SimpleNnForwardBatch32(benchmark::State& state) {
     ml::Sequential model = ml::make_simple_nn(ml::InputDims{}, 1);
-    ml::Tensor batch({32, 3, 12, 12});
+    const ml::Dataset batch = simple_nn_batch();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(model.forward(batch, false));
+        benchmark::DoNotOptimize(model.forward(batch.images, false));
     }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 32);
 }
 BENCHMARK(BM_SimpleNnForwardBatch32);
+
+/// One SGD step as ml::train runs it: forward, loss, backward, update.
+void BM_SimpleNnTrainStep(benchmark::State& state) {
+    ml::Sequential model = ml::make_simple_nn(ml::InputDims{}, 1);
+    const ml::Dataset batch = simple_nn_batch();
+    ml::Sgd sgd;
+    const auto params = model.parameters();
+    const auto grads = model.gradients();
+    for (auto _ : state) {
+        const ml::Tensor logits = model.forward(batch.images, true);
+        const ml::LossResult loss =
+            ml::softmax_cross_entropy(logits, batch.labels);
+        model.backward(loss.grad_logits);
+        sgd.step(params, grads);
+        benchmark::DoNotOptimize(loss.loss);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 32);
+}
+BENCHMARK(BM_SimpleNnTrainStep);
 
 void BM_EffnetBackboneBatch32(benchmark::State& state) {
     ml::EffNetLite model = ml::make_effnet_lite(ml::InputDims{}, 1);

@@ -41,7 +41,12 @@
 #    be gated against the baseline.
 # 7. Bench-baseline gate: scripts/bench_compare.py diffs the fresh
 #    BENCH_*.json against bench/baselines/ and fails on any
-#    accuracy/fitness regression or chain/analyzer-parity mismatch.
+#    accuracy/fitness regression or chain/analyzer-parity mismatch. Then
+#    the four fresh scenario documents must be byte-identical (cmp) to
+#    their baselines: bench_compare.py passes accuracies within a
+#    tolerance, so only cmp catches a kernel that changes results in the
+#    last bits (e.g. a GEMM that reorders its sums). The baselines come
+#    from gcc, so the cmp runs on gcc builds only.
 # 8. A second configure with -Wall -Wextra -Werror to keep the tree
 #    warning-clean.
 set -euo pipefail
@@ -176,6 +181,27 @@ python3 scripts/bench_compare.py build/BENCH_micro_substrates.json \
   build/BENCH_scenario_async_staleness.json \
   build/BENCH_chain_performance.json \
   build/BENCH_vm_analysis.json
+
+echo "== bit-exactness: fresh scenario JSON cmp-identical to bench/baselines =="
+# The baselines were recorded with gcc. Another compiler may evaluate
+# function arguments in another order or fold constants differently;
+# bench_compare.py's tolerances absorb that, cmp would not.
+cxx_id="$(sed -n 's/^set(CMAKE_CXX_COMPILER_ID "\(.*\)")$/\1/p' \
+  build/CMakeFiles/*/CMakeCXXCompiler.cmake | head -n 1)"
+if [ "${cxx_id}" != "GNU" ]; then
+  echo "bit-exactness: baselines come from gcc, this build is ${cxx_id:-unknown}; skipped"
+else
+  for name in ci_smoke hierarchical_ci_smoke paper_tradeoff async_staleness; do
+    if ! cmp -s "bench/baselines/BENCH_scenario_${name}.json" \
+                "build/BENCH_scenario_${name}.json"; then
+      echo "BASELINE DRIFT (${name}): output is not byte-identical:"
+      diff "bench/baselines/BENCH_scenario_${name}.json" \
+           "build/BENCH_scenario_${name}.json" || true
+      exit 1
+    fi
+    echo "${name}: byte-identical to bench/baselines"
+  done
+fi
 
 echo "== strict: -Wall -Wextra -Werror build =="
 cmake -B build-werror -S . -DBCFL_WERROR=ON

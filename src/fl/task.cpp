@@ -146,14 +146,13 @@ FlTask make_effnet_task(const ml::FederatedData& data,
                 const ml::Tensor logits = net.head.forward(features, true);
                 const ml::LossResult loss =
                     ml::softmax_cross_entropy(logits, batch.labels);
-                // Backward through head, then backbone.
+                // Backward through head, then backbone; the backbone's
+                // input gradient is never computed.
                 ml::Tensor grad = loss.grad_logits;
                 for (std::size_t li = net.head.layer_count(); li-- > 0;) {
                     grad = net.head.layer(li).backward(grad);
                 }
-                for (std::size_t li = net.backbone.layer_count(); li-- > 0;) {
-                    grad = net.backbone.layer(li).backward(grad);
-                }
+                net.backbone.backward(grad);
                 head_sgd.step(net.head.parameters(), net.head.gradients());
                 backbone_sgd.step(net.backbone.parameters(),
                                   net.backbone.gradients());

@@ -1,5 +1,6 @@
 #include "ml/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -41,9 +42,13 @@ Tensor Dense::forward(const Tensor& input, bool training) {
     return out;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
-    const std::size_t n = input_cache_.dim(0);
-    // dW = X^T * dY ; db = sum rows dY ; dX = dY * W^T
+void Dense::backward_parameters(const Tensor& grad_output) {
+    const std::size_t n = input_cache_.rank() == 2 ? input_cache_.dim(0) : 0;
+    if (grad_output.rank() != 2 || grad_output.dim(0) != n ||
+        grad_output.dim(1) != out_) {
+        throw ShapeError("dense: gradient does not match the cached batch");
+    }
+    // dW = X^T * dY ; db = sum rows dY
     matmul_tn(input_cache_.data(), grad_output.data(), weight_grad_.data(),
               in_, n, out_, false);
     bias_grad_.fill(0.0f);
@@ -51,6 +56,12 @@ Tensor Dense::backward(const Tensor& grad_output) {
         const float* row = grad_output.data() + i * out_;
         for (std::size_t j = 0; j < out_; ++j) bias_grad_[j] += row[j];
     }
+}
+
+Tensor Dense::backward(const Tensor& grad_output) {
+    backward_parameters(grad_output);
+    // dX = dY * W^T
+    const std::size_t n = grad_output.dim(0);
     Tensor grad_input({n, in_});
     matmul_nt(grad_output.data(), weight_.data(), grad_input.data(), n, out_,
               in_, false);
@@ -235,16 +246,28 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
+    Tensor grad_input(input_cache_.shape());
+    backward_into(grad_output, &grad_input);
+    return grad_input;
+}
+
+void Conv2d::backward_parameters(const Tensor& grad_output) {
+    backward_into(grad_output, nullptr);
+}
+
+void Conv2d::backward_into(const Tensor& grad_output, Tensor* grad_input) {
     const Tensor& input = input_cache_;
     const ConvDims d = conv_dims(input, kernel_, stride_, pad_);
     const std::size_t patch = in_c_ * kernel_ * kernel_;
     const std::size_t cols = d.out_h * d.out_w;
+    if (grad_output.size() != d.n * out_c_ * cols) {
+        throw ShapeError("conv2d: gradient does not match the cached batch");
+    }
 
     weight_grad_.fill(0.0f);
     bias_grad_.fill(0.0f);
-    Tensor grad_input(input.shape());
     std::vector<float> col(patch * cols);
-    std::vector<float> dcol(patch * cols);
+    std::vector<float> dcol(grad_input != nullptr ? patch * cols : 0);
 
     for (std::size_t s = 0; s < d.n; ++s) {
         im2col(input.data() + s * d.c * d.h * d.w, d.c, d.h, d.w, kernel_,
@@ -258,13 +281,13 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
             const float* plane = grad_sample + oc * cols;
             for (std::size_t i = 0; i < cols; ++i) bias_grad_[oc] += plane[i];
         }
+        if (grad_input == nullptr) continue;
         // dcol = W^T * dY
         matmul_tn(weight_.data(), grad_sample, dcol.data(), patch, out_c_,
                   cols, false);
         col2im(dcol.data(), d.c, d.h, d.w, kernel_, stride_, pad_, d.out_h,
-               d.out_w, grad_input.data() + s * d.c * d.h * d.w);
+               d.out_w, grad_input->data() + s * d.c * d.h * d.w);
     }
-    return grad_input;
 }
 
 // ---------------------------------------------------------- DepthwiseConv2d
@@ -421,10 +444,15 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
 }
 
 void Sequential::backward(const Tensor& grad_output) {
+    const auto first = std::find_if(
+        layers_.begin(), layers_.end(),
+        [](const auto& layer) { return !layer->parameters().empty(); });
+    if (first == layers_.end()) return;
     Tensor grad = grad_output;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+    for (auto it = layers_.end() - 1; it != first; --it) {
         grad = (*it)->backward(grad);
     }
+    (*first)->backward_parameters(grad);
 }
 
 std::vector<Tensor*> Sequential::parameters() {

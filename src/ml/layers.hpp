@@ -20,7 +20,14 @@ public:
     virtual ~Layer() = default;
 
     virtual Tensor forward(const Tensor& input, bool training) = 0;
+    /// Fills gradients() and returns the gradient w.r.t. the input.
     virtual Tensor backward(const Tensor& grad_output) = 0;
+    /// Fills gradients() only. Sequential calls this on its first layer
+    /// with parameters, whose input gradient nothing reads; layers where
+    /// that gradient costs a GEMM override it to skip the work.
+    virtual void backward_parameters(const Tensor& grad_output) {
+        (void)backward(grad_output);
+    }
 
     /// Trainable parameter tensors (empty for stateless layers).
     virtual std::vector<Tensor*> parameters() { return {}; }
@@ -37,6 +44,7 @@ public:
 
     Tensor forward(const Tensor& input, bool training) override;
     Tensor backward(const Tensor& grad_output) override;
+    void backward_parameters(const Tensor& grad_output) override;
     std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
     std::vector<Tensor*> gradients() override {
         return {&weight_grad_, &bias_grad_};
@@ -91,6 +99,7 @@ public:
 
     Tensor forward(const Tensor& input, bool training) override;
     Tensor backward(const Tensor& grad_output) override;
+    void backward_parameters(const Tensor& grad_output) override;
     std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
     std::vector<Tensor*> gradients() override {
         return {&weight_grad_, &bias_grad_};
@@ -98,6 +107,9 @@ public:
     [[nodiscard]] std::string name() const override { return "conv2d"; }
 
 private:
+    /// Parameter gradients, plus the input gradient when grad_input is set.
+    void backward_into(const Tensor& grad_output, Tensor* grad_input);
+
     std::size_t in_c_, out_c_, kernel_, stride_, pad_;
     Tensor weight_, bias_, weight_grad_, bias_grad_;
     Tensor input_cache_;
@@ -147,6 +159,8 @@ public:
     }
 
     Tensor forward(const Tensor& input, bool training = false);
+    /// Fills every layer's gradients(). Stops at the first layer with
+    /// parameters: the gradient w.r.t. the model input has no reader.
     void backward(const Tensor& grad_output);
 
     [[nodiscard]] std::vector<Tensor*> parameters();

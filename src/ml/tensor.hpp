@@ -1,6 +1,13 @@
 // Minimal dense float32 tensor with the matmul kernels the training stack
-// needs (plain NN, transposed-A and transposed-B variants, loop-blocked for
-// cache friendliness).
+// needs: plain NN, transposed-A (TN) and transposed-B (NT).
+//
+// The kernels are register-blocked and vectorized across output columns,
+// and bit-exact with the plain scalar loops: every output element is summed
+// over k ascending, with IEEE single-precision multiplies and adds only (no
+// FMA, no reassociation). NN and TN start from the existing out value and
+// skip each term whose a is zero; NT sums a*b from 0 and then adds the sum
+// to out. The results are therefore the same bits on every build, and
+// tests/ml_test.cpp pins them against the scalar loops.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 
@@ -75,6 +79,153 @@ TEST(Tensor, MatmulAccumulate) {
     std::vector<float> out{10, 10, 10, 10};
     matmul_nn(a.data(), b.data(), out.data(), 2, 2, 2, true);
     EXPECT_EQ(out, (std::vector<float>{12, 13, 14, 15}));
+}
+
+// The scalar GEMMs the register-blocked kernels replaced, kept verbatim as
+// the reference: the new kernels must give the same bits, not close values.
+namespace reference {
+
+namespace {
+constexpr std::size_t kBlock = 64;
+}
+
+void matmul_nn(const float* a, const float* b, float* out, std::size_t m,
+               std::size_t k, std::size_t n, bool accumulate) {
+    if (!accumulate) std::memset(out, 0, m * n * sizeof(float));
+    for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
+        const std::size_t i1 = std::min(i0 + kBlock, m);
+        for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
+            const std::size_t p1 = std::min(p0 + kBlock, k);
+            for (std::size_t i = i0; i < i1; ++i) {
+                const float* a_row = a + i * k;
+                float* out_row = out + i * n;
+                for (std::size_t p = p0; p < p1; ++p) {
+                    const float a_val = a_row[p];
+                    if (a_val == 0.0f) continue;
+                    const float* b_row = b + p * n;
+                    for (std::size_t j = 0; j < n; ++j) {
+                        out_row[j] += a_val * b_row[j];
+                    }
+                }
+            }
+        }
+    }
+}
+
+void matmul_tn(const float* a, const float* b, float* out, std::size_t m,
+               std::size_t k, std::size_t n, bool accumulate) {
+    if (!accumulate) std::memset(out, 0, m * n * sizeof(float));
+    // a is stored [k, m]; walk k rows, scatter into out rows.
+    for (std::size_t p = 0; p < k; ++p) {
+        const float* a_row = a + p * m;
+        const float* b_row = b + p * n;
+        for (std::size_t i = 0; i < m; ++i) {
+            const float a_val = a_row[i];
+            if (a_val == 0.0f) continue;
+            float* out_row = out + i * n;
+            for (std::size_t j = 0; j < n; ++j) {
+                out_row[j] += a_val * b_row[j];
+            }
+        }
+    }
+}
+
+void matmul_nt(const float* a, const float* b, float* out, std::size_t m,
+               std::size_t k, std::size_t n, bool accumulate) {
+    if (!accumulate) std::memset(out, 0, m * n * sizeof(float));
+    for (std::size_t i = 0; i < m; ++i) {
+        const float* a_row = a + i * k;
+        float* out_row = out + i * n;
+        for (std::size_t j = 0; j < n; ++j) {
+            const float* b_row = b + j * k;
+            float acc = 0.0f;
+            for (std::size_t p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
+            out_row[j] += acc;
+        }
+    }
+}
+
+}  // namespace reference
+
+using MatmulFn = void (*)(const float*, const float*, float*, std::size_t,
+                          std::size_t, std::size_t, bool);
+
+/// Operand values that separate a reordered or zero-adding kernel from the
+/// reference: about a third exact zeros (some -0.0), the rest spanning
+/// magnitudes so that every rounding step depends on the summation order.
+std::vector<float> gemm_operand(std::size_t size, Rng& rng, bool zeros) {
+    std::vector<float> values(size);
+    for (float& v : values) {
+        const std::uint64_t pick = rng.next_below(24);
+        if (zeros && pick < 6) {
+            v = 0.0f;
+        } else if (zeros && pick < 8) {
+            v = -0.0f;
+        } else {
+            v = static_cast<float>(rng.normal() *
+                                   std::ldexp(1.0, static_cast<int>(
+                                                       rng.next_below(9)) - 4));
+        }
+    }
+    return values;
+}
+
+/// Runs the kernel under test and its reference on the same inputs and
+/// prior output, both accumulate modes; the results must match bit for bit.
+/// Every buffer has one spare trailing element, so no pointer is null when a
+/// dimension is 0, and out's spare must survive both kernels untouched.
+void expect_gemm_bit_exact(MatmulFn kernel, MatmulFn oracle, std::size_t m,
+                           std::size_t k, std::size_t n, Rng& rng) {
+    const std::vector<float> a = gemm_operand(m * k + 1, rng, true);
+    std::vector<float> b = gemm_operand(k * n + 1, rng, false);
+    // An infinite b under a zero a: adding 0 * inf would make a NaN that
+    // the skipping kernels never produce.
+    if (k * n > 0 && rng.next_below(4) == 0) {
+        b[rng.next_below(k * n)] = std::numeric_limits<float>::infinity();
+    }
+    // A prior out with -0.0 in it is where skipping a zero a and adding
+    // its signed-zero product differ; half the trials have none.
+    const std::vector<float> prior =
+        gemm_operand(m * n + 1, rng, rng.next_below(2) == 0);
+    for (const bool accumulate : {false, true}) {
+        std::vector<float> got = prior;
+        std::vector<float> want = prior;
+        kernel(a.data(), b.data(), got.data(), m, k, n, accumulate);
+        oracle(a.data(), b.data(), want.data(), m, k, n, accumulate);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "m=" << m << " k=" << k << " n=" << n
+            << " accumulate=" << accumulate;
+    }
+}
+
+TEST(Tensor, MatmulKernelsBitExactAgainstScalarReference) {
+    const struct {
+        const char* name;
+        MatmulFn kernel;
+        MatmulFn oracle;
+    } kernels[] = {
+        {"nn", &matmul_nn, &reference::matmul_nn},
+        {"tn", &matmul_tn, &reference::matmul_tn},
+        {"nt", &matmul_nt, &reference::matmul_nt},
+    };
+    Rng rng(2024);
+    for (const auto& kernel : kernels) {
+        SCOPED_TRACE(kernel.name);
+        // Random shapes through every row and column tail of the 4x8 tile,
+        // k = 0 included; then the SimpleNN and 64-block boundary shapes.
+        for (int trial = 0; trial < 400; ++trial) {
+            expect_gemm_bit_exact(kernel.kernel, kernel.oracle,
+                                  rng.next_below(14), rng.next_below(12),
+                                  rng.next_below(22), rng);
+        }
+        for (const auto& [m, k, n] :
+             {std::array<std::size_t, 3>{32, 432, 96}, {432, 32, 96},
+              {32, 96, 432}, {32, 96, 10}, {96, 32, 10}, {65, 130, 67}}) {
+            expect_gemm_bit_exact(kernel.kernel, kernel.oracle, m, k, n, rng);
+        }
+    }
 }
 
 // ----------------------------------------------------- Numerical gradients
@@ -310,6 +461,71 @@ TEST(Models, EmbeddingMatchesFullForward) {
     for (std::size_t i = 0; i < direct.size(); ++i) {
         EXPECT_NEAR(direct[i], via_embed[i], 1e-4);
     }
+}
+
+// --------------------------------------------- Sequential backward pass
+
+/// Every layer's backward, last to first, as a training step did before
+/// Sequential learned to stop at the first layer with parameters.
+void full_backward_chain(Sequential& model, const Tensor& grad_output) {
+    Tensor grad = grad_output;
+    for (std::size_t li = model.layer_count(); li-- > 0;) {
+        grad = model.layer(li).backward(grad);
+    }
+}
+
+/// Sequential::backward must leave the same parameter gradients, to the
+/// bit, as the full per-layer chain on an identical twin model.
+void expect_backward_matches_full_chain(Sequential& model, Sequential& twin,
+                                        const Tensor& input) {
+    const Tensor logits = model.forward(input, true);
+    const Tensor twin_logits = twin.forward(input, true);
+    ASSERT_EQ(logits.values(), twin_logits.values());
+    const Tensor grad = random_tensor(logits.shape(), 77);
+
+    model.backward(grad);
+    full_backward_chain(twin, grad);
+
+    const auto got = model.gradients();
+    const auto want = twin.gradients();
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_FALSE(got.empty());
+    for (std::size_t t = 0; t < got.size(); ++t) {
+        ASSERT_EQ(got[t]->size(), want[t]->size());
+        EXPECT_EQ(std::memcmp(got[t]->data(), want[t]->data(),
+                              got[t]->size() * sizeof(float)),
+                  0)
+            << "gradient tensor " << t;
+    }
+}
+
+TEST(SequentialBackward, SimpleNnFlattenFirstMatchesFullChain) {
+    const InputDims dims;
+    Sequential model = make_simple_nn(dims, 21);
+    Sequential twin = make_simple_nn(dims, 21);
+    expect_backward_matches_full_chain(model, twin,
+                                       random_tensor({5, 3, 12, 12}, 22));
+}
+
+TEST(SequentialBackward, EffNetBackboneConvFirstMatchesFullChain) {
+    const InputDims dims;
+    EffNetLite model = make_effnet_lite(dims, 23);
+    EffNetLite twin = make_effnet_lite(dims, 23);
+    ASSERT_EQ(model.backbone.layer(0).name(), "conv2d");
+    expect_backward_matches_full_chain(model.backbone, twin.backbone,
+                                       random_tensor({3, 3, 12, 12}, 24));
+}
+
+TEST(SequentialBackward, ModelWithoutParametersIsANoOp) {
+    // Neither layer has run forward, so running their backward would fail.
+    Sequential model;
+    model.add(std::make_unique<Flatten>());
+    model.add(std::make_unique<Relu>());
+    EXPECT_NO_THROW(model.backward(random_tensor({2, 8}, 25)));
+    EXPECT_TRUE(model.gradients().empty());
+
+    Sequential empty;
+    EXPECT_NO_THROW(empty.backward(Tensor({1, 1})));
 }
 
 // -------------------------------------------------------------------- Data

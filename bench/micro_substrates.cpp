@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "chain/blockchain.hpp"
 #include "chain/pow.hpp"
+#include "chain/txpool.hpp"
 #include "chain/types.hpp"
 #include "common/rng.hpp"
 #include "core/parallel.hpp"
@@ -33,6 +35,8 @@
 #include "ml/loss.hpp"
 #include "ml/models.hpp"
 #include "ml/optimizer.hpp"
+#include "node/executor.hpp"
+#include "node/node.hpp"
 #include "rlp/rlp.hpp"
 #include "vm/analysis.hpp"
 #include "vm/evm.hpp"
@@ -152,6 +156,60 @@ void BM_VmChunkStore64K(benchmark::State& state) {
                             1024);
 }
 BENCHMARK(BM_VmChunkStore64K);
+
+// Block import of four signed 128 KiB storeChunk txs (one model round's
+// chunks) on a fresh chain and VmBlockExecutor each iteration: PoW, tx
+// root, signatures, nonces, EVM execution and indexing. Arg 1 imports
+// against a pool that already verified the txs, as a node does for txs
+// it received by gossip, so the four signature checks are skipped.
+void BM_ImportChunkBlock(benchmark::State& state) {
+    chain::ChainConfig config;
+    config.initial_difficulty = 1;
+    config.fixed_difficulty = true;
+    const auto fresh_chain = [&config] {
+        auto executor = std::make_shared<node::VmBlockExecutor>(config.gas);
+        auto chain = std::make_unique<chain::Blockchain>(config, executor);
+        executor->register_genesis(chain->genesis().header,
+                                   node::Node::genesis_state());
+        return chain;
+    };
+    const auto key = crypto::KeyPair::from_seed(11);
+    std::vector<chain::Transaction> txs;
+    chain::TxPool pool(config.gas);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        Bytes calldata = vm::registry_abi::chunk_calldata(
+            1, i, Bytes(128 * 1024, static_cast<std::uint8_t>(i)));
+        const std::uint64_t gas_limit = 21'000 + 16 * calldata.size() + 300'000;
+        txs.push_back(chain::Transaction::make_signed(
+            key, i, vm::registry_address(), gas_limit, 1, std::move(calldata)));
+        pool.add(txs.back());
+    }
+    chain::Block block = fresh_chain()->build_block(key.address(), txs, 1000);
+    block.header.pow_nonce = *chain::mine_seal(block.header, 0, 1);
+    const std::size_t block_bytes = block.encode().size();
+    const bool pool_verified = state.range(0) != 0;
+
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto chain = fresh_chain();
+        state.ResumeTiming();
+        const chain::ImportResult result = pool_verified
+                                               ? chain->import_block(block, pool)
+                                               : chain->import_block(block);
+        benchmark::DoNotOptimize(result);
+        if (result.status != chain::ImportStatus::added_head) {
+            state.SkipWithError(result.reason.c_str());
+            break;
+        }
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(block_bytes));
+}
+BENCHMARK(BM_ImportChunkBlock)
+    ->ArgName("pool_verified")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Static analyzer: analysis throughput, cache effectiveness and the

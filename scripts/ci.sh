@@ -45,8 +45,11 @@
 #    the four fresh scenario documents must be byte-identical (cmp) to
 #    their baselines: bench_compare.py passes accuracies within a
 #    tolerance, so only cmp catches a kernel that changes results in the
-#    last bits (e.g. a GEMM that reorders its sums). The baselines come
-#    from gcc, so the cmp runs on gcc builds only.
+#    last bits (e.g. a GEMM that reorders its sums). Likewise the
+#    micro_substrates fitness fingerprint must equal the baseline's string
+#    exactly (bench_compare.py skips string leaves under a tolerance
+#    path). The baselines come from gcc, so these exact checks run on gcc
+#    builds only.
 # 8. A second configure with -Wall -Wextra -Werror to keep the tree
 #    warning-clean.
 set -euo pipefail
@@ -79,7 +82,7 @@ else
   cmake -B build-fuzz -S . -DBCFL_FUZZ=ON -DBCFL_ASAN=ON \
     -DBCFL_BUILD_TESTS=OFF -DBCFL_BUILD_BENCHES=OFF -DBCFL_BUILD_EXAMPLES=OFF
   cmake --build build-fuzz -j "${JOBS}"
-  for target in json rlp asm model analysis; do
+  for target in json rlp asm model analysis tx; do
     ./build-fuzz/fuzz/fuzz_${target} fuzz/corpus/${target}/*
   done
 
@@ -182,7 +185,7 @@ python3 scripts/bench_compare.py build/BENCH_micro_substrates.json \
   build/BENCH_chain_performance.json \
   build/BENCH_vm_analysis.json
 
-echo "== bit-exactness: fresh scenario JSON cmp-identical to bench/baselines =="
+echo "== bit-exactness: fresh scenario JSON and fitness fingerprint identical to bench/baselines =="
 # The baselines were recorded with gcc. Another compiler may evaluate
 # function arguments in another order or fold constants differently;
 # bench_compare.py's tolerances absorb that, cmp would not.
@@ -201,6 +204,15 @@ else
     fi
     echo "${name}: byte-identical to bench/baselines"
   done
+  baseline_fp="$(grep -o '"fitness_fingerprint":"[^"]*"' \
+    bench/baselines/BENCH_micro_substrates.json || true)"
+  if [ -z "${baseline_fp}" ] || [ "${parallel_fp}" != "${baseline_fp}" ]; then
+    echo "BASELINE DRIFT (micro_substrates fitness_fingerprint):"
+    echo "  baseline: ${baseline_fp}"
+    echo "  fresh:    ${parallel_fp}"
+    exit 1
+  fi
+  echo "micro_substrates: fitness fingerprint identical to bench/baselines"
 fi
 
 echo "== strict: -Wall -Wextra -Werror build =="

@@ -4,6 +4,8 @@
 #include <unordered_set>
 
 #include "common/error.hpp"
+#include "crypto/keccak.hpp"
+#include "crypto/merkle.hpp"
 
 namespace bcfl::chain {
 
@@ -23,7 +25,8 @@ Blockchain::Blockchain(ChainConfig config,
                      Record{genesis,
                             {},
                             crypto::U256{genesis.header.difficulty},
-                            std::make_shared<NonceSnapshot>()});
+                            std::make_shared<NonceSnapshot>(),
+                            {}});
     canonical_[0] = genesis_hash_;
 }
 
@@ -78,6 +81,12 @@ std::optional<TxLocation> Blockchain::locate_tx(const Hash32& tx_hash) const {
     const auto it = tx_index_.find(tx_hash);
     if (it == tx_index_.end()) return std::nullopt;
     return it->second;
+}
+
+const std::vector<Hash32>* Blockchain::tx_ids_for(
+    const Hash32& block_hash) const {
+    const auto it = records_.find(block_hash);
+    return it == records_.end() ? nullptr : &it->second.tx_ids;
 }
 
 std::uint64_t Blockchain::child_difficulty(const BlockHeader& parent,
@@ -144,7 +153,8 @@ void Blockchain::prune_snapshots() {
 
 std::string Blockchain::validate(
     const Block& block, const Record& parent,
-    const NonceSnapshot& parent_nonces,
+    const NonceSnapshot& parent_nonces, const TxPool* verified,
+    std::vector<Hash32>& tx_ids,
     std::unordered_map<Address, std::uint64_t, FixedBytesHasher>& touched)
     const {
     const BlockHeader& h = block.header;
@@ -156,7 +166,12 @@ std::string Blockchain::validate(
         return "bad difficulty";
     }
     if (!check_pow(h)) return "invalid proof of work";
-    if (h.tx_root != block.compute_tx_root()) return "tx root mismatch";
+    // Block::compute_tx_root, keeping the leaves: they are the tx ids.
+    tx_ids.reserve(block.transactions.size());
+    for (const Transaction& tx : block.transactions) {
+        tx_ids.push_back(crypto::keccak256(tx.encode()));
+    }
+    if (h.tx_root != crypto::merkle_root(tx_ids)) return "tx root mismatch";
 
     // Expected nonces come from the parent's per-branch snapshot — O(1)
     // per sender — instead of re-walking the branch back to genesis on
@@ -165,8 +180,16 @@ std::string Blockchain::validate(
     // `gas_budget += tx.gas_limit` accumulator could wrap uint64 and let
     // an over-limit block through.
     std::uint64_t gas_left = h.gas_limit;
-    for (const Transaction& tx : block.transactions) {
-        if (!tx.verify_signature()) return "bad tx signature";
+    for (std::size_t i = 0; i < block.transactions.size(); ++i) {
+        const Transaction& tx = block.transactions[i];
+        // A pooled id vouches for the encoded bytes only; the infinity
+        // flag is not encoded, so a tx carrying it is always checked.
+        const bool pool_verified = verified != nullptr &&
+                                   !tx.sender_pub.infinity &&
+                                   verified->contains(tx_ids[i]);
+        if (!pool_verified && !tx.verify_signature()) {
+            return "bad tx signature";
+        }
         if (tx.gas_limit < intrinsic_gas(config_.gas, tx)) {
             return "tx gas below intrinsic";
         }
@@ -182,6 +205,16 @@ std::string Blockchain::validate(
 }
 
 ImportResult Blockchain::import_block(const Block& block) {
+    return import_impl(block, nullptr);
+}
+
+ImportResult Blockchain::import_block(const Block& block,
+                                      const TxPool& verified) {
+    return import_impl(block, &verified);
+}
+
+ImportResult Blockchain::import_impl(const Block& block,
+                                     const TxPool* verified) {
     ImportResult result;
     const Hash32 id = block.hash();
     if (records_.contains(id)) {
@@ -197,8 +230,10 @@ ImportResult Blockchain::import_block(const Block& block) {
     Record& parent = parent_it->second;
     const std::shared_ptr<const NonceSnapshot> parent_nonces =
         snapshot_for(parent);
+    std::vector<Hash32> tx_ids;
     std::unordered_map<Address, std::uint64_t, FixedBytesHasher> touched;
-    if (std::string reason = validate(block, parent, *parent_nonces, touched);
+    if (std::string reason = validate(block, parent, *parent_nonces, verified,
+                                      tx_ids, touched);
         !reason.empty()) {
         result.status = ImportStatus::rejected;
         result.reason = std::move(reason);
@@ -239,7 +274,7 @@ ImportResult Blockchain::import_block(const Block& block) {
     Record record{block, exec.receipts,
                   add(parent.total_difficulty,
                       crypto::U256{block.header.difficulty}),
-                  std::move(nonces)};
+                  std::move(nonces), std::move(tx_ids)};
     const crypto::U256 new_td = record.total_difficulty;
     records_.emplace(id, std::move(record));
 
@@ -263,9 +298,8 @@ void Blockchain::set_head(const Hash32& new_head, ImportResult& result) {
         TxLocation loc{new_head, new_number, 0};
         for (std::size_t i = 0; i < record.block.transactions.size(); ++i) {
             loc.index = i;
-            const Transaction& tx = record.block.transactions[i];
-            tx_index_[tx.hash()] = loc;
-            nonces_[tx.sender()]++;
+            tx_index_[record.tx_ids[i]] = loc;
+            nonces_[record.block.transactions[i].sender()]++;
         }
         return;
     }
@@ -311,8 +345,8 @@ void Blockchain::set_head(const Hash32& new_head, ImportResult& result) {
     const std::uint64_t old_number =
         records_.at(head_hash_).block.header.number;
     for (const Record* r : old_suffix) {
+        for (const Hash32& tx_id : r->tx_ids) tx_index_.erase(tx_id);
         for (const Transaction& tx : r->block.transactions) {
-            tx_index_.erase(tx.hash());
             const auto it = nonces_.find(tx.sender());
             if (it != nonces_.end() && --it->second == 0) nonces_.erase(it);
         }
@@ -329,9 +363,8 @@ void Blockchain::set_head(const Hash32& new_head, ImportResult& result) {
         TxLocation loc{*it, r.block.header.number, 0};
         for (std::size_t i = 0; i < r.block.transactions.size(); ++i) {
             loc.index = i;
-            const Transaction& tx = r.block.transactions[i];
-            tx_index_[tx.hash()] = loc;
-            nonces_[tx.sender()]++;
+            tx_index_[r.tx_ids[i]] = loc;
+            nonces_[r.block.transactions[i].sender()]++;
         }
     }
     head_hash_ = new_head;
@@ -341,14 +374,14 @@ void Blockchain::set_head(const Hash32& new_head, ImportResult& result) {
     // deterministic mempool re-injection.
     std::unordered_set<Hash32, FixedBytesHasher> new_branch_txs;
     for (const Hash32& hash : new_suffix) {
-        for (const Transaction& tx : records_.at(hash).block.transactions) {
-            new_branch_txs.insert(tx.hash());
-        }
+        const std::vector<Hash32>& ids = records_.at(hash).tx_ids;
+        new_branch_txs.insert(ids.begin(), ids.end());
     }
     for (const Record* r : old_suffix) {
-        for (const Transaction& tx : r->block.transactions) {
-            if (!new_branch_txs.contains(tx.hash())) {
-                result.abandoned_txs.push_back(tx);
+        for (std::size_t i = 0; i < r->tx_ids.size(); ++i) {
+            if (!new_branch_txs.contains(r->tx_ids[i])) {
+                result.abandoned_txs.push_back(r->block.transactions[i]);
+                result.abandoned_tx_ids.push_back(r->tx_ids[i]);
             }
         }
     }

@@ -11,6 +11,7 @@
 
 #include "chain/gas.hpp"
 #include "chain/pow.hpp"
+#include "chain/txpool.hpp"
 #include "chain/types.hpp"
 
 namespace bcfl::chain {
@@ -85,6 +86,8 @@ struct ImportResult {
     /// Transactions that fell out of the canonical chain in a reorg and are
     /// not part of the new branch (candidates for mempool re-injection).
     std::vector<Transaction> abandoned_txs;
+    /// Their ids, index for index (TxPool::reinject takes both).
+    std::vector<Hash32> abandoned_tx_ids;
 };
 
 /// Where a transaction landed on the canonical chain.
@@ -98,8 +101,26 @@ class Blockchain {
 public:
     Blockchain(ChainConfig config, std::shared_ptr<BlockExecutor> executor);
 
-    /// Validates and stores a block; applies fork choice.
+    /// Validates and stores a block; applies fork choice. Every check runs,
+    /// every tx signature included.
     ImportResult import_block(const Block& block);
+
+    /// The same import, but a tx whose id `verified` holds skips its
+    /// signature check; every other check (PoW, tx root, intrinsic gas,
+    /// nonces, gas budget, execution roots) still runs. Sound because the
+    /// pool admits only verified txs (see TxPool::add), the id is the
+    /// keccak256 of the tx's full encoding — payload, public key and
+    /// signature — and validation recomputes that id from the block's own
+    /// tx bytes (the same hash that checks the tx root). So a block tx
+    /// that matches a pooled id is byte for byte a tx already verified,
+    /// and a forgery sharing a pooled tx's sender and nonce has another id
+    /// and is verified in full. Nothing is cached on the mutable
+    /// Transaction itself, so a tampered copy can never inherit a verdict;
+    /// a tx with `sender_pub.infinity` set, a flag the id does not cover,
+    /// is always verified.
+    /// The outcome is the same as import_block(block) (tests/chain_test's
+    /// differential test); only the work differs.
+    ImportResult import_block(const Block& block, const TxPool& verified);
 
     /// Assembles an unsealed block on top of the current head (fills roots by
     /// executing `txs`). The caller seals it (PoW) and re-imports it.
@@ -117,6 +138,10 @@ public:
     [[nodiscard]] const std::vector<Receipt>* receipts_for(
         const Hash32& block_hash) const;
     [[nodiscard]] std::optional<TxLocation> locate_tx(const Hash32& tx_hash) const;
+    /// Ids of a stored block's transactions, in block order (hashed once,
+    /// during validation).
+    [[nodiscard]] const std::vector<Hash32>* tx_ids_for(
+        const Hash32& block_hash) const;
 
     /// Next expected nonce per sender along the canonical chain.
     [[nodiscard]] const std::unordered_map<Address, std::uint64_t,
@@ -171,13 +196,21 @@ private:
         // sinks below ChainConfig::nonce_snapshot_horizon (see
         // snapshot_for for the rebuild fallback).
         std::shared_ptr<const NonceSnapshot> nonces;
+        // Each tx's id, in block order: the index and reorg code reads
+        // these instead of rehashing full tx encodings.
+        std::vector<Hash32> tx_ids;
     };
 
-    /// On success, `touched` holds the next expected nonce per sender
-    /// appearing in the block — exactly the delta layer of its snapshot.
+    ImportResult import_impl(const Block& block, const TxPool* verified);
+
+    /// Fills `tx_ids` (each tx hashed once, for the tx root) as soon as
+    /// the header checks pass. On success, `touched` holds the next
+    /// expected nonce per sender appearing in the block — exactly the
+    /// delta layer of its snapshot. `verified` may be null (verify all).
     [[nodiscard]] std::string validate(
         const Block& block, const Record& parent,
-        const NonceSnapshot& parent_nonces,
+        const NonceSnapshot& parent_nonces, const TxPool* verified,
+        std::vector<Hash32>& tx_ids,
         std::unordered_map<Address, std::uint64_t, FixedBytesHasher>& touched)
         const;
     void set_head(const Hash32& new_head, ImportResult& result);

@@ -6,8 +6,7 @@
 
 namespace bcfl::chain {
 
-bool TxPool::add(const Transaction& tx) {
-    const Hash32 id = tx.hash();
+bool TxPool::add(const Transaction& tx, const Hash32& id) {
     if (by_hash_.contains(id)) return false;
     if (!tx.verify_signature()) return false;
     if (tx.gas_limit < intrinsic_gas(schedule_, tx)) return false;
@@ -104,15 +103,14 @@ std::vector<Transaction> TxPool::select(
     return selected;
 }
 
-void TxPool::remove(const std::vector<Transaction>& txs) {
+void TxPool::remove(const std::vector<Hash32>& ids) {
     // Erasing from by_hash_ drops the pool's entire record of the tx: a
     // long run no longer leaks one hash per transaction ever seen (the old
     // `seen_` dedup set grew forever). Duplicate suppression for *pending*
     // txs needs only by_hash_, and re-adding an already-mined tx is
     // harmless — block building consults the chain's account nonces, which
     // have moved past it.
-    for (const Transaction& tx : txs) {
-        const Hash32 id = tx.hash();
+    for (const Hash32& id : ids) {
         by_hash_.erase(id);
         // Lazy erase from order_: by_hash_ lookups skip stale ids; compact
         // occasionally to bound memory.
@@ -153,12 +151,11 @@ void TxPool::maybe_compact_order() {
     order_ = std::move(compacted);
 }
 
-void TxPool::reinject(const std::vector<Transaction>& txs) {
-    for (const Transaction& tx : txs) {
-        const Hash32 id = tx.hash();
-        if (by_hash_.contains(id)) continue;  // still pending: keep as-is
-        by_hash_.emplace(id, tx);
-        order_.push_back(id);
+void TxPool::reinject(const std::vector<Transaction>& txs,
+                      const std::vector<Hash32>& ids) {
+    for (std::size_t i = 0; i < txs.size(); ++i) {
+        // emplace keeps a still-pending tx as-is.
+        if (by_hash_.emplace(ids[i], txs[i]).second) order_.push_back(ids[i]);
     }
 }
 

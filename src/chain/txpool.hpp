@@ -21,12 +21,22 @@ class TxPool {
 public:
     explicit TxPool(GasSchedule schedule = {}) : schedule_(schedule) {}
 
-    /// Adds a transaction. Returns false (and ignores it) when it is
-    /// already pending, carries an invalid signature, or cannot pay
-    /// intrinsic gas. A transaction removed from the pool (mined) may be
-    /// re-added later; the node's chain-level nonce tracking keeps an
+    /// Adds a transaction under its id, which must be tx.hash() (the
+    /// keccak256 of its wire encoding — a node takes it over the received
+    /// bytes, so the tx is hashed once). Returns false (and ignores it)
+    /// when it is already pending, carries an invalid signature, or cannot
+    /// pay intrinsic gas. A transaction removed from the pool (mined) may
+    /// be re-added later; the node's chain-level nonce tracking keeps an
     /// already-mined tx from being selected again.
-    bool add(const Transaction& tx);
+    ///
+    /// Every pending tx therefore had its signature verified on the way
+    /// in: here, or (reinject) inside a block that passed validation.
+    /// That is what lets Blockchain::import_block skip the check for a
+    /// block tx whose id the pool holds — the id commits to the payload,
+    /// the public key and the signature, so the block's copy is the very
+    /// tx that was verified.
+    bool add(const Transaction& tx, const Hash32& id);
+    bool add(const Transaction& tx) { return add(tx, tx.hash()); }
 
     /// True if the pool currently holds the transaction.
     [[nodiscard]] bool contains(const Hash32& tx_hash) const;
@@ -39,16 +49,17 @@ public:
         const std::unordered_map<Address, std::uint64_t, FixedBytesHasher>&
             next_nonce_by_sender) const;
 
-    /// Removes transactions (e.g. after they were mined). Frees *all* state
-    /// held for them — a long-running pool's memory is bounded by what is
-    /// currently pending, not by the total transaction history.
-    void remove(const std::vector<Transaction>& txs);
+    /// Removes transactions by id (e.g. after they were mined). Frees
+    /// *all* state held for them — a long-running pool's memory is bounded
+    /// by what is currently pending, not by the total transaction history.
+    void remove(const std::vector<Hash32>& ids);
 
     /// Re-injects transactions from abandoned blocks after a reorg without
-    /// re-running signature/intrinsic-gas admission (they were verified
-    /// when first added and again inside the abandoned block). Pending
-    /// duplicates are skipped via `by_hash_`.
-    void reinject(const std::vector<Transaction>& txs);
+    /// re-running signature/intrinsic-gas admission (the abandoned block
+    /// passed validation). `ids[i]` is txs[i]'s id. Pending duplicates are
+    /// skipped via `by_hash_`.
+    void reinject(const std::vector<Transaction>& txs,
+                  const std::vector<Hash32>& ids);
 
     /// Drops every pending tx whose nonce is below its sender's next
     /// expected nonce (already satisfied on the canonical chain): such a

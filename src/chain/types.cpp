@@ -33,6 +33,13 @@ const rlp::Item& child(const rlp::Item& list, std::size_t index) {
     return list.children()[index];
 }
 
+// A list item's data() is empty, so reading a list where a string belongs
+// would accept bytes that encode() cannot reproduce.
+const Bytes& as_string(const rlp::Item& item) {
+    if (item.is_list()) throw DecodeError("expected rlp string, got list");
+    return item.data();
+}
+
 }  // namespace
 
 Bytes Transaction::signing_payload() const {
@@ -68,11 +75,11 @@ Transaction Transaction::decode(BytesView wire) {
     tx.to = as_address(child(item, 1));
     tx.gas_limit = child(item, 2).as_u64();
     tx.gas_price = child(item, 3).as_u64();
-    tx.data = child(item, 4).data();
+    tx.data = as_string(child(item, 4));
     tx.sender_pub.x = crypto::U256::from_hash(as_hash(child(item, 5)));
     tx.sender_pub.y = crypto::U256::from_hash(as_hash(child(item, 6)));
     tx.sender_pub.infinity = false;
-    tx.signature = crypto::Signature::deserialize(child(item, 7).data());
+    tx.signature = crypto::Signature::deserialize(as_string(child(item, 7)));
     return tx;
 }
 
@@ -198,9 +205,12 @@ Block Block::decode(BytesView wire) {
         throw DecodeError("block must be a 2-item list");
     }
     Block block;
-    block.header = BlockHeader::decode(child(item, 0).data());
-    for (const rlp::Item& tx_item : child(item, 1).children()) {
-        block.transactions.push_back(Transaction::decode(tx_item.data()));
+    block.header = BlockHeader::decode(as_string(child(item, 0)));
+    const rlp::Item& tx_items = child(item, 1);
+    if (!tx_items.is_list()) throw DecodeError("block txs must be a list");
+    block.transactions.reserve(tx_items.children().size());
+    for (const rlp::Item& tx_item : tx_items.children()) {
+        block.transactions.push_back(Transaction::decode(as_string(tx_item)));
     }
     return block;
 }

@@ -50,9 +50,15 @@ struct Transaction {
     [[nodiscard]] Bytes signing_payload() const;
     /// Full wire encoding (payload + pubkey + signature).
     [[nodiscard]] Bytes encode() const;
+    /// Accepts only canonical bytes: encode() of the result reproduces
+    /// `wire` exactly, so keccak256(wire) is the decoded tx's id and the
+    /// received bytes can be relayed as they are (fuzz/fuzz_tx.cpp).
     static Transaction decode(BytesView wire);
 
-    /// keccak256 of the full encoding — the transaction id.
+    /// keccak256 of the full encoding — the transaction id. It commits to
+    /// the payload, the public key and the signature, so two txs with one
+    /// id verify alike. Hot paths hash once and carry the id instead of
+    /// calling this again.
     [[nodiscard]] Hash32 hash() const;
 
     [[nodiscard]] bool verify_signature() const;
@@ -111,6 +117,7 @@ struct Block {
     [[nodiscard]] std::size_t wire_size() const;
 
     [[nodiscard]] Bytes encode() const;
+    /// Canonical like Transaction::decode: encode() reproduces `wire`.
     static Block decode(BytesView wire);
 };
 

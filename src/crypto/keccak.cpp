@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "crypto/work_counters.hpp"
+
 namespace bcfl::crypto {
 
 namespace {
@@ -99,6 +101,9 @@ void absorb_all(std::uint64_t state[25], BytesView a, BytesView b) {
 }  // namespace
 
 Hash32 keccak256(BytesView a, BytesView b) {
+    WorkCounters& counters = detail::t_work_counters;
+    ++counters.keccak_calls;
+    counters.keccak_bytes += a.size() + b.size();
     std::uint64_t state[25] = {};
     absorb_all(state, a, b);
     Hash32 out;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "crypto/work_counters.hpp"
+
 namespace bcfl::crypto {
 
 namespace {
@@ -112,6 +114,7 @@ void Sha256::update(BytesView data) {
 
 Hash32 Sha256::finalize() {
     const std::uint64_t bits = total_bits_;
+    detail::t_work_counters.sha256_bytes += bits / 8;
     const std::uint8_t pad = 0x80;
     update(BytesView{&pad, 1});
     const std::uint8_t zero = 0x00;

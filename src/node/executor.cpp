@@ -24,7 +24,10 @@ void VmBlockExecutor::register_genesis(const chain::BlockHeader& genesis,
 
 chain::ExecutionResult VmBlockExecutor::execute(
     const chain::BlockHeader& parent, const chain::Block& block) {
-    const Key key{parent.hash(), block.compute_tx_root()};
+    // The header's tx root is already checked against the txs (validate
+    // before import, set by build_block), so it keys the cache without
+    // rehashing every tx.
+    const Key key{parent.hash(), block.header.tx_root};
     if (const auto it = cache_.find(key); it != cache_.end()) {
         return it->second.result;
     }

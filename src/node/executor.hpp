@@ -27,6 +27,9 @@ public:
     void register_genesis(const chain::BlockHeader& genesis,
                           vm::WorldState state);
 
+    /// `block.header.tx_root` must commit to `block.transactions`: it is
+    /// the cache key. Blockchain checks it before every import and sets
+    /// it before build_block executes.
     chain::ExecutionResult execute(const chain::BlockHeader& parent,
                                    const chain::Block& block) override;
 

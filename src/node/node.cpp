@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "crypto/keccak.hpp"
 
 namespace bcfl::node {
 
@@ -41,10 +42,12 @@ void Node::start() {
 }
 
 void Node::submit_tx(const chain::Transaction& tx) {
-    if (!pool_.add(tx)) return;
+    const Bytes wire = tx.encode();
+    const Hash32 id = crypto::keccak256(wire);
+    if (!pool_.add(tx, id)) return;
     ++stats_.txs_submitted;
-    mark_seen(tx.hash());
-    broadcast(MsgKind::tx, tx.encode());
+    mark_seen(id);
+    broadcast(MsgKind::tx, wire);
 }
 
 bool Node::already_seen(const Hash32& id) const {
@@ -89,7 +92,7 @@ void Node::set_compute_load(double load) {
     if (started_) schedule_mining();
 }
 
-void Node::broadcast(MsgKind kind, const Bytes& body) {
+void Node::broadcast(MsgKind kind, BytesView body) {
     Bytes message;
     message.reserve(body.size() + 1);
     message.push_back(static_cast<std::uint8_t>(kind));
@@ -115,11 +118,14 @@ void Node::handle_message(net::NodeId from, const Bytes& message) {
     try {
         switch (kind) {
             case MsgKind::tx: {
-                const chain::Transaction tx = chain::Transaction::decode(body);
-                const Hash32 id = tx.hash();
+                // Decoding is canonical, so the hash of the received bytes
+                // is the tx id: a duplicate costs one keccak and nothing
+                // else, and a new tx is relayed as received.
+                const Hash32 id = crypto::keccak256(body);
                 if (already_seen(id)) return;
+                const chain::Transaction tx = chain::Transaction::decode(body);
                 mark_seen(id);
-                if (pool_.add(tx)) broadcast(MsgKind::tx, tx.encode());
+                if (pool_.add(tx, id)) broadcast(MsgKind::tx, body);
                 return;
             }
             case MsgKind::block: {
@@ -187,15 +193,18 @@ void Node::request_block(net::NodeId peer, const Hash32& hash) {
 
 void Node::import_block(const chain::Block& block, bool relay,
                         net::NodeId origin) {
-    const chain::ImportResult result = chain_->import_block(block);
+    // Txs this node's pool holds were verified on admission; the chain
+    // skips their signature checks (see Blockchain::import_block).
+    const chain::ImportResult result = chain_->import_block(block, pool_);
     switch (result.status) {
         case chain::ImportStatus::added_head: {
             ++stats_.blocks_imported;
             if (result.reorged) {
                 ++stats_.reorgs;
-                pool_.reinject(result.abandoned_txs);
+                pool_.reinject(result.abandoned_txs, result.abandoned_tx_ids);
             }
-            pool_.remove(block.transactions);
+            // `block` is the head now; its tx ids were kept at validation.
+            pool_.remove(*chain_->tx_ids_for(chain_->head_hash()));
             // Head changes can strand below-nonce txs in the pool (mined
             // duplicates re-admitted after seen-set eviction, replaced
             // same-nonce siblings, reorg leftovers); they are

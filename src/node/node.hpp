@@ -153,7 +153,7 @@ private:
     void retry_orphans();
     void schedule_mining();
     void on_block_found(std::uint64_t generation);
-    void broadcast(MsgKind kind, const Bytes& body);
+    void broadcast(MsgKind kind, BytesView body);
     void notify_new_head();
 
     net::Transport& transport_;

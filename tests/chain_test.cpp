@@ -14,6 +14,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "crypto/keccak.hpp"
+#include "rlp/rlp.hpp"
 
 namespace bcfl::chain {
 namespace {
@@ -62,6 +63,17 @@ TEST(Transaction, DecodeRejectsGarbage) {
     EXPECT_THROW(Transaction::decode(str_bytes("nonsense")), Error);
 }
 
+TEST(Transaction, DecodeRejectsListWhereDataBelongs) {
+    // Pinned from fuzz/corpus/tx/crash_tx_data_as_list: an empty list in
+    // the data slot used to decode as empty data, so two encodings shared
+    // one tx (and the received bytes were not its id).
+    std::vector<rlp::Item> fields = rlp::decode(sample_tx(1, 0).encode())
+                                        .children();
+    fields[4] = rlp::Item::list({});
+    EXPECT_THROW(Transaction::decode(rlp::encode(rlp::Item::list(fields))),
+                 DecodeError);
+}
+
 // ----------------------------------------------------------------- Headers
 
 TEST(BlockHeader, RoundTripAndHashStability) {
@@ -105,6 +117,14 @@ TEST(Block, EncodeDecodeRoundTrip) {
     EXPECT_EQ(back.hash(), block.hash());
     EXPECT_EQ(back.transactions.size(), 2u);
     EXPECT_EQ(back.transactions[1].hash(), block.transactions[1].hash());
+}
+
+TEST(Block, DecodeRejectsStringWhereTxListBelongs) {
+    // Pinned from fuzz/corpus/tx/crash_block_txs_as_string: an empty
+    // string in the tx-list slot used to decode as "no transactions".
+    const Bytes wire = rlp::encode(rlp::Item::list(
+        {rlp::Item::string(BlockHeader{}.encode()), rlp::Item::string(Bytes{})}));
+    EXPECT_THROW(Block::decode(wire), DecodeError);
 }
 
 // -------------------------------------------------------------------- PoW
@@ -251,17 +271,17 @@ TEST(TxPool, RemoveAndReinject) {
     TxPool pool;
     const Transaction tx = sample_tx(1, 0);
     ASSERT_TRUE(pool.add(tx));
-    pool.remove({tx});
+    pool.remove({tx.hash()});
     EXPECT_TRUE(pool.empty());
-    pool.reinject({tx});
+    pool.reinject({tx}, {tx.hash()});
     EXPECT_EQ(pool.size(), 1u);
-    pool.reinject({tx});  // already pending: skipped, not duplicated
+    pool.reinject({tx}, {tx.hash()});  // already pending: skipped, not duplicated
     EXPECT_EQ(pool.size(), 1u);
     // Repeated remove/reinject churn (reorg ping-pong) must not duplicate
     // the tx in selection, and compaction dedups the arrival index.
     for (int cycle = 0; cycle < 4; ++cycle) {
-        pool.remove({tx});
-        pool.reinject({tx});
+        pool.remove({tx.hash()});
+        pool.reinject({tx}, {tx.hash()});
     }
     EXPECT_EQ(pool.size(), 1u);
     const auto selected = pool.select(1'000'000, {});
@@ -278,7 +298,7 @@ TEST(TxPool, RemoveFreesAllStateForEvictThenReadd) {
     const Transaction tx = sample_tx(1, 0);
     ASSERT_TRUE(pool.add(tx));
     EXPECT_FALSE(pool.add(tx));  // pending duplicate still rejected
-    pool.remove({tx});
+    pool.remove({tx.hash()});
     EXPECT_TRUE(pool.empty());
     EXPECT_FALSE(pool.contains(tx.hash()));
     EXPECT_TRUE(pool.add(tx));  // evict-then-readd passes admission again
@@ -288,7 +308,7 @@ TEST(TxPool, RemoveFreesAllStateForEvictThenReadd) {
     EXPECT_EQ(selected[0].hash(), tx.hash());
     // A mined tx that drifts back in is never *selected* again: block
     // building passes the chain's advanced account nonces.
-    pool.remove({tx});
+    pool.remove({tx.hash()});
     ASSERT_TRUE(pool.add(tx));
     const auto reselected =
         pool.select(1'000'000, {{selected[0].sender(), tx.nonce + 1}});
@@ -956,6 +976,138 @@ TEST(BlockchainIndices, NonceValidationIsPerBranch) {
 
     const Block good = seal_on(branch_b, {sample_tx(77, 0)}, 3000, 61);
     EXPECT_EQ(main_chain.import_block(good).status, ImportStatus::added_head);
+}
+
+// ------------------------------------------- Pool-verified signature skip
+
+/// A same-(sender, nonce) sibling of `tx` whose signature no longer covers
+/// its payload.
+Transaction forge_payload(const Transaction& tx) {
+    Transaction forged = tx;
+    forged.data = str_bytes("forged payload");
+    return forged;
+}
+
+TEST_F(BlockchainTest, PooledTxForgeryIsStillRejected) {
+    // The pool holds the honest tx; a block carries a forgery with the
+    // same sender and nonce under a correct tx root. Its id differs from
+    // the pooled one, so the signature is checked and fails.
+    TxPool pool;
+    const Transaction honest = sample_tx(1, 0);
+    ASSERT_TRUE(pool.add(honest));
+    const Block forged_block = make_next({forge_payload(honest)}, 1000);
+    EXPECT_EQ(forged_block.header.tx_root, forged_block.compute_tx_root());
+    const ImportResult rejected = chain_.import_block(forged_block, pool);
+    EXPECT_EQ(rejected.status, ImportStatus::rejected);
+    EXPECT_EQ(rejected.reason, "bad tx signature");
+
+    const ImportResult accepted =
+        chain_.import_block(make_next({honest}, 1000), pool);
+    EXPECT_EQ(accepted.status, ImportStatus::added_head) << accepted.reason;
+}
+
+TEST(BlockchainIndices, PoolOracleImportMatchesFullVerification) {
+    // Differential: one random block stream — two competing branches,
+    // honest txs half of which sit in a pool, and forged blocks — goes
+    // into a chain that verifies every signature and one that skips the
+    // pool's txs. Every ImportResult, head and tx location must agree.
+    using namespace indices;
+    const ChainConfig config = fixed_config();
+    Blockchain full(config, std::make_shared<NullExecutor>());
+    Blockchain oracle(config, std::make_shared<NullExecutor>());
+    Blockchain branch_a(config, std::make_shared<NullExecutor>());
+    Blockchain branch_b(config, std::make_shared<NullExecutor>());
+    TxPool pool;
+    Rng rng(0x0dd5);
+    std::uint64_t ts = 1000;
+    std::vector<Transaction> all_txs;
+    std::size_t reorgs = 0;
+    std::size_t forged_rejections = 0;
+
+    const auto import_both = [&](const Block& block) {
+        const ImportResult want = full.import_block(block);
+        const ImportResult got = oracle.import_block(block, pool);
+        EXPECT_EQ(got.status, want.status) << want.reason;
+        EXPECT_EQ(got.reason, want.reason);
+        EXPECT_EQ(got.reorged, want.reorged);
+        ASSERT_EQ(got.abandoned_txs.size(), want.abandoned_txs.size());
+        ASSERT_EQ(got.abandoned_tx_ids.size(), got.abandoned_txs.size());
+        for (std::size_t i = 0; i < want.abandoned_txs.size(); ++i) {
+            EXPECT_EQ(got.abandoned_txs[i].hash(), want.abandoned_txs[i].hash());
+            EXPECT_EQ(got.abandoned_tx_ids[i], want.abandoned_txs[i].hash());
+        }
+        EXPECT_EQ(oracle.head_hash(), full.head_hash());
+        EXPECT_EQ(oracle.account_nonces(), full.account_nonces());
+        for (const Transaction& tx : all_txs) {
+            const auto a = full.locate_tx(tx.hash());
+            const auto b = oracle.locate_tx(tx.hash());
+            ASSERT_EQ(a.has_value(), b.has_value());
+            if (a) {
+                EXPECT_EQ(a->block_hash, b->block_hash);
+                EXPECT_EQ(a->index, b->index);
+            }
+        }
+        reorgs += want.reorged ? 1 : 0;
+        forged_rejections += want.reason == "bad tx signature" ? 1 : 0;
+    };
+
+    // Honest txs from branch-private senders; each lands in the pool with
+    // probability 1/2, so both the skip and the full check run.
+    std::unordered_map<std::uint64_t, std::uint64_t> nonce_a;
+    std::unordered_map<std::uint64_t, std::uint64_t> nonce_b;
+    const auto honest_txs = [&](std::unordered_map<std::uint64_t,
+                                                   std::uint64_t>& nonces,
+                                std::uint64_t seed_base) {
+        std::vector<Transaction> txs;
+        const std::size_t count = 1 + rng.next_below(3);
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::uint64_t seed = seed_base + rng.next_below(3);
+            txs.push_back(sample_tx(seed, nonces[seed]++));
+            all_txs.push_back(txs.back());
+            if (rng.next_below(2) == 0) pool.add(txs.back());
+        }
+        return txs;
+    };
+
+    // Forgeries of txs the builder would mine next, every one of them in
+    // the pool: a tampered payload, a tampered signature, a swapped public
+    // key, and the honest bytes with the (unencoded) infinity flag set.
+    const auto forged_block = [&](Blockchain& builder,
+                                  std::unordered_map<std::uint64_t,
+                                                     std::uint64_t>& nonces,
+                                  std::uint64_t seed_base) {
+        const std::uint64_t seed = seed_base + rng.next_below(3);
+        const Transaction honest = sample_tx(seed, nonces[seed]);
+        pool.add(honest);
+        Transaction forged = honest;
+        switch (rng.next_below(4)) {
+            case 0: forged = forge_payload(honest); break;
+            case 1: forged.signature.s = crypto::U256{12345}; break;
+            case 2:
+                forged.sender_pub = KeyPair::from_seed(seed + 100).public_key();
+                break;
+            default: forged.sender_pub.infinity = true; break;
+        }
+        Block block = builder.build_block(KeyPair::from_seed(62).address(),
+                                          {forged}, ts += 100);
+        block.header.pow_nonce = *mine_seal(block.header, 0, 10'000'000);
+        return block;
+    };
+
+    for (int step = 0; step < 60; ++step) {
+        const bool on_a = rng.next_below(2) == 0;
+        Blockchain& builder = on_a ? branch_a : branch_b;
+        auto& nonces = on_a ? nonce_a : nonce_b;
+        const std::uint64_t seed_base = on_a ? 30 : 40;
+        if (rng.next_below(4) == 0) {
+            import_both(forged_block(builder, nonces, seed_base));
+        } else {
+            import_both(seal_on(builder, honest_txs(nonces, seed_base),
+                                ts += 100, on_a ? 60 : 61));
+        }
+    }
+    EXPECT_GT(reorgs, 2u) << "the stream no longer switches branches";
+    EXPECT_GT(forged_rejections, 5u) << "the stream no longer forges";
 }
 
 TEST(IntrinsicGas, ChargesPerByte) {

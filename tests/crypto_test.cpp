@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "crypto/u256.hpp"
+#include "crypto/work_counters.hpp"
 
 namespace bcfl::crypto {
 namespace {
@@ -76,6 +77,22 @@ TEST(Keccak, LongInputCrossesRateBoundary) {
                                        BytesView(data).subspan(n / 2));
         EXPECT_EQ(once, split) << n;
     }
+}
+
+// ----------------------------------------------------------- Work counters
+
+TEST(WorkCounters, CountKeccakCallsAndBytesAndShaMessageBytes) {
+    const WorkCounters before = work_counters();
+    (void)keccak256(Bytes(200, 1));
+    (void)keccak256(Bytes(10, 2), Bytes(30, 3));
+    Sha256 hasher;
+    hasher.update(Bytes(70, 4));
+    hasher.update(Bytes(5, 5));
+    (void)hasher.finalize();  // padding is not counted as message bytes
+    const WorkCounters spent = work_counters() - before;
+    EXPECT_EQ(spent.keccak_calls, 2u);
+    EXPECT_EQ(spent.keccak_bytes, 240u);
+    EXPECT_EQ(spent.sha256_bytes, 75u);
 }
 
 // ------------------------------------------------------------------- U256

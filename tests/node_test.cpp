@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "crypto/keccak.hpp"
+#include "crypto/work_counters.hpp"
 #include "net/sim_transport.hpp"
 #include "node/node.hpp"
 #include "vm/registry_contract.hpp"
@@ -255,6 +258,155 @@ TEST(NodeGossip, SeenSetIsBoundedByGenerationalRotation) {
         evictions += node->stats().seen_evictions;
     }
     EXPECT_GT(evictions, 0u);
+}
+
+// ------------------------------------------------------ Hash work counters
+
+/// Books the crypto work of every delivery and timer to the node it runs
+/// on. The sim runs all nodes on one thread, so the thread_local counters
+/// alone cannot tell them apart; this decorator snapshots them around each
+/// handler instead.
+class WorkByNode final : public net::Transport {
+public:
+    explicit WorkByNode(net::Transport& inner) : inner_(inner) {}
+
+    /// Runs `work` and books its hashing to `node`.
+    template <typename Work>
+    void book(net::NodeId node, Work&& work) {
+        const crypto::WorkCounters before = crypto::work_counters();
+        work();
+        work_[node] += crypto::work_counters() - before;
+    }
+
+    [[nodiscard]] const crypto::WorkCounters& work(net::NodeId node) const {
+        return work_[node];
+    }
+
+    net::NodeId add_node(Receiver receiver) override {
+        const auto id = static_cast<net::NodeId>(work_.size());
+        work_.emplace_back();
+        const net::NodeId inner_id = inner_.add_node(
+            [this, id, receiver = std::move(receiver)](net::NodeId from,
+                                                       const Bytes& message) {
+                book(id, [&] { receiver(from, message); });
+            });
+        EXPECT_EQ(inner_id, id);
+        return id;
+    }
+    [[nodiscard]] std::size_t node_count() const override {
+        return inner_.node_count();
+    }
+    void send(net::NodeId from, net::NodeId to, Bytes message) override {
+        inner_.send(from, to, std::move(message));
+    }
+    void broadcast(net::NodeId from, const Bytes& message) override {
+        inner_.broadcast(from, message);
+    }
+    [[nodiscard]] net::SimTime now() const override { return inner_.now(); }
+    void schedule_after(net::NodeId node, net::SimTime delay,
+                        Handler handler) override {
+        inner_.schedule_after(
+            node, delay, [this, node, handler = std::move(handler)] {
+                book(node, handler);
+            });
+    }
+    [[nodiscard]] bool online(net::NodeId node) const override {
+        return inner_.online(node);
+    }
+    [[nodiscard]] net::TrafficStats stats() const override {
+        return inner_.stats();
+    }
+    void run(const std::function<bool()>& done,
+             net::SimTime deadline) override {
+        inner_.run(done, deadline);
+    }
+
+private:
+    net::Transport& inner_;
+    std::vector<crypto::WorkCounters> work_;
+};
+
+TEST(NodeHashWork, ChunkTxIsHashedTwiceAndVerifiedOncePerNode) {
+    // One 128 KiB storeChunk tx, followed from submission at node 0 through
+    // full-mesh gossip (every node also receives the two relayed copies
+    // it already holds), mining at node 1 and import at every node, with
+    // each node's hashing counted exactly. Difficulty 1 makes the first
+    // nonce seal, so PoW grinding adds one header-sized keccak per block.
+    net::SimTransport sim(net::LinkParams{}, /*seed=*/5);
+    WorkByNode transport(sim);
+    chain::ChainConfig chain_config;
+    chain_config.initial_difficulty = 1;
+    chain_config.fixed_difficulty = true;
+    std::vector<std::unique_ptr<Node>> nodes;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        NodeConfig config;
+        config.chain = chain_config;
+        config.key_seed = 400 + i;
+        config.mine = i == 1;
+        config.hash_rate = 0.1;  // a block every ~10 s
+        config.rng_seed = 4000 + i;
+        nodes.push_back(std::make_unique<Node>(transport, config));
+    }
+    Bytes calldata = abi::chunk_calldata(1, 0, Bytes(128 * 1024, 0x5a));
+    const std::uint64_t gas_limit = 21'000 + 16 * calldata.size() + 300'000;
+    const auto tx = chain::Transaction::make_signed(
+        nodes[0]->key(), 0, vm::registry_address(), gas_limit, 1,
+        std::move(calldata));
+    const std::size_t wire_bytes = tx.encode().size();
+    // One Schnorr verification hashes R, the public key and the payload.
+    const std::uint64_t verify_bytes = 4 * 32 + tx.signing_payload().size();
+
+    transport.book(0, [&] { nodes[0]->submit_tx(tx); });
+    sim.sim().run_until(net::seconds(2));
+    for (const auto& node : nodes) ASSERT_EQ(node->pool_size(), 1u);
+    nodes[1]->start();
+    transport.run(
+        [&] {
+            return std::all_of(nodes.begin(), nodes.end(), [](const auto& n) {
+                return n->chain().height() >= 1;
+            });
+        },
+        net::seconds(600));
+
+    for (const auto& node : nodes) {
+        ASSERT_EQ(node->chain().height(), 1u) << "node " << node->id();
+        const auto loc = node->chain().locate_tx(tx.hash());
+        ASSERT_TRUE(loc.has_value()) << "node " << node->id();
+        EXPECT_EQ(loc->block_number, 1u);
+        EXPECT_EQ(node->pool_size(), 0u);
+        EXPECT_EQ(node->stats().blocks_rejected, 0u);
+    }
+
+    // SHA-256: one signature verification per node, on pool admission.
+    // Block import finds the tx's id in the pool and skips the check. (The
+    // import used to verify again: 2 * verify_bytes = 262606 per node.)
+    //
+    // Keccak, per node, in units of the tx's full encoding
+    // (wire_bytes = 131339): one hash per received copy (the duplicate
+    // check runs over the received bytes and is the tx id), one at
+    // submission (node 0), one for the root the miner seals (node 1), and
+    // one in block validation, whose ids then serve the tx root, the pool,
+    // indexing and the executor key. On top, every node's EVM hashes the
+    // 131072-byte chunk once (storeChunk's SHA3), and header, merkle,
+    // address and state hashes add 1403 bytes (2041 at the miner).
+    //   node  full hashes  keccak bytes  calls   before: full  bytes    calls
+    //   0     4            657831        15              8     1183187  19
+    //   1     4            658469        20              9     1315164  25
+    //   2     3            526492        14              7     1051848  18
+    // "Before" is the previous node, which rehashed the encoding on gossip
+    // receive, pool add and remove, the executor key and chain indexing.
+    ASSERT_EQ(wire_bytes, 131339u);
+    const crypto::WorkCounters want[3] = {
+        {15, 657831, verify_bytes},
+        {20, 658469, verify_bytes},
+        {14, 526492, verify_bytes},
+    };
+    for (net::NodeId i = 0; i < 3; ++i) {
+        const crypto::WorkCounters& got = transport.work(i);
+        EXPECT_EQ(got.keccak_calls, want[i].keccak_calls) << "node " << i;
+        EXPECT_EQ(got.keccak_bytes, want[i].keccak_bytes) << "node " << i;
+        EXPECT_EQ(got.sha256_bytes, want[i].sha256_bytes) << "node " << i;
+    }
 }
 
 TEST(NodeSingle, NonMinerNeverExtendsChain) {

@@ -22,6 +22,11 @@
 # 3. Parallel determinism: the micro_substrates serial-vs-parallel bench
 #    runs under both thread settings; the fitness fingerprints in
 #    BENCH_micro_substrates.json must be byte-identical.
+# 3b. Hash kernels: logs the SHA-256 and PoW-search tiers this CPU
+#    dispatches to (crypto/hash_kernels.hpp), so the log records which
+#    tier produced the scenario documents the cmp gates below compare.
+#    Every tier computes the same bits; runners differ in SHA-NI and
+#    AVX-512.
 # 4. Scenario smoke: the checked-in ci_smoke spec (flat), the
 #    hierarchical_ci_smoke spec (flat-vs-clustered sweep), the paper's
 #    own wait-for-K sweep (paper_tradeoff) and async_staleness (the only
@@ -128,6 +133,15 @@ if [ "${serial_fp}" != "${parallel_fp}" ] || [ -z "${serial_fp}" ]; then
   exit 1
 fi
 echo "fingerprints identical: ${serial_fp}"
+
+echo "== hash kernels: tiers dispatched on this CPU =="
+kernels="$(cd build && ./bench/micro_substrates --benchmark_filter='^BM_PowHashRate$' \
+  2>&1 >/dev/null | grep '^hash_kernels:' || true)"
+if [ -z "${kernels}" ]; then
+  echo "micro_substrates printed no hash_kernels context line"
+  exit 1
+fi
+echo "${kernels}"
 
 # Runs scenarios/<name>.json at BCFL_THREADS=1 and 8 into build/; the two
 # JSON documents must be byte-identical.

@@ -7,16 +7,6 @@
 
 namespace bcfl::chain {
 
-namespace {
-
-crypto::U256 pow_value(const Hash32& seal_hash, std::uint64_t nonce) {
-    const Bytes nonce_bytes = be_bytes(nonce);
-    const Hash32 digest = crypto::keccak256(seal_hash.view(), nonce_bytes);
-    return crypto::U256::from_hash(digest);
-}
-
-}  // namespace
-
 crypto::U256 pow_target(std::uint64_t difficulty) {
     if (difficulty <= 1) return crypto::bit_not(crypto::U256{});
     // floor(2^256 / d) computed as floor((2^256 - 1) / d); the difference is
@@ -26,8 +16,9 @@ crypto::U256 pow_target(std::uint64_t difficulty) {
 }
 
 bool check_pow(const BlockHeader& header) {
-    return pow_value(header.seal_hash(), header.pow_nonce) <=
-           pow_target(header.difficulty);
+    return crypto::keccak256_nonce_search(header.seal_hash(), header.pow_nonce,
+                                          1, pow_target(header.difficulty))
+        .has_value();
 }
 
 std::optional<std::uint64_t> mine_seal(const BlockHeader& header,
@@ -47,11 +38,7 @@ std::optional<std::uint64_t> mine_seal(const BlockHeader& header,
             std::numeric_limits<std::uint64_t>::max() - start_nonce + 1;
         attempts = std::min(attempts, remaining);
     }
-    for (std::uint64_t i = 0; i < attempts; ++i) {
-        const std::uint64_t nonce = start_nonce + i;
-        if (pow_value(seal, nonce) <= target) return nonce;
-    }
-    return std::nullopt;
+    return crypto::keccak256_nonce_search(seal, start_nonce, attempts, target);
 }
 
 std::uint64_t next_difficulty(std::uint64_t parent_difficulty,

@@ -5,6 +5,10 @@
 
 #include "crypto/work_counters.hpp"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace bcfl::crypto {
 
 namespace {
@@ -34,15 +38,7 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
     return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
-
-void Sha256::reset() {
-    std::memcpy(state_, kInit, sizeof(state_));
-    buffered_ = 0;
-    total_bits_ = 0;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void process_block(std::uint32_t state[8], const std::uint8_t* block) {
     std::uint32_t w[64];
     for (int i = 0; i < 16; ++i) {
         w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
@@ -58,8 +54,8 @@ void Sha256::process_block(const std::uint8_t* block) {
         w[i] = w[i - 16] + s0 + w[i - 7] + s1;
     }
 
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
     for (int i = 0; i < 64; ++i) {
         const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -78,14 +74,110 @@ void Sha256::process_block(const std::uint8_t* block) {
         a = temp1 + temp2;
     }
 
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+}
+
+void compress_portable(std::uint32_t state[8], const std::uint8_t* blocks,
+                       std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) process_block(state, blocks + 64 * i);
+}
+
+#if defined(__x86_64__)
+// SHA-NI: each sha256rnds2 runs two rounds on the state split as ABEF and
+// CDGH; sha256msg1/msg2 extend the message schedule four words at a time.
+// The helpers carry the kernel's target too: without it they could neither
+// use the intrinsics nor be inlined into it.
+
+// Four rounds on schedule words w (W[4k..4k+3]).
+__attribute__((target("sha,sse4.1"))) inline void sha_rounds4(
+    __m128i& abef, __m128i& cdgh, __m128i w, std::size_t k) {
+    const __m128i wk = _mm_add_epi32(
+        w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * k)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+}
+
+// W[4k..4k+3] from the four previous groups w0 (oldest) .. w3.
+__attribute__((target("sha,sse4.1"))) inline __m128i sha_schedule(
+    __m128i w0, __m128i w1, __m128i w2, __m128i w3) {
+    const __m128i x = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1),
+                                    _mm_alignr_epi8(w3, w2, 4));
+    return _mm_sha256msg2_epu32(x, w3);
+}
+
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t state[8], const std::uint8_t* blocks, std::size_t count) {
+    const __m128i byte_swap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+    const __m128i dcba = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xb1);
+    const __m128i efgh = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1b);
+    __m128i abef = _mm_alignr_epi8(dcba, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, dcba, 0xf0);
+
+    for (std::size_t i = 0; i < count; ++i, blocks += 64) {
+        const __m128i abef_in = abef;
+        const __m128i cdgh_in = cdgh;
+        const auto* in = reinterpret_cast<const __m128i*>(blocks);
+        __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(in), byte_swap);
+        __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), byte_swap);
+        __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), byte_swap);
+        __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), byte_swap);
+        sha_rounds4(abef, cdgh, w0, 0);
+        sha_rounds4(abef, cdgh, w1, 1);
+        sha_rounds4(abef, cdgh, w2, 2);
+        sha_rounds4(abef, cdgh, w3, 3);
+        for (std::size_t k = 4; k < 16; k += 4) {
+            w0 = sha_schedule(w0, w1, w2, w3);
+            sha_rounds4(abef, cdgh, w0, k);
+            w1 = sha_schedule(w1, w2, w3, w0);
+            sha_rounds4(abef, cdgh, w1, k + 1);
+            w2 = sha_schedule(w2, w3, w0, w1);
+            sha_rounds4(abef, cdgh, w2, k + 2);
+            w3 = sha_schedule(w3, w0, w1, w2);
+            sha_rounds4(abef, cdgh, w3, k + 3);
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+    const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                     _mm_blend_epi16(feba, dchg, 0xf0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                     _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+constexpr Sha256Kernel kKernels[] = {
+    {"portable", nullptr, compress_portable},
+#if defined(__x86_64__)
+    {"sha-ni", "sha", compress_sha_ni},
+#endif
+};
+
+}  // namespace
+
+std::span<const Sha256Kernel> sha256_kernels() { return kKernels; }
+
+const Sha256Kernel& sha256_kernel() {
+    static const Sha256Kernel& chosen = fastest_runnable(sha256_kernels());
+    return chosen;
+}
+
+void Sha256::reset() {
+    std::memcpy(state_, kInit, sizeof(state_));
+    buffered_ = 0;
+    total_bits_ = 0;
 }
 
 void Sha256::update(BytesView data) {
@@ -98,13 +190,14 @@ void Sha256::update(BytesView data) {
         buffered_ += take;
         offset += take;
         if (buffered_ == 64) {
-            process_block(buffer_);
+            compress_(state_, buffer_, 1);
             buffered_ = 0;
         }
     }
-    while (offset + 64 <= data.size()) {
-        process_block(data.data() + offset);
-        offset += 64;
+    const std::size_t blocks = (data.size() - offset) / 64;
+    if (blocks > 0) {
+        compress_(state_, data.data() + offset, blocks);
+        offset += 64 * blocks;
     }
     if (offset < data.size()) {
         std::memcpy(buffer_, data.data() + offset, data.size() - offset);
@@ -115,16 +208,18 @@ void Sha256::update(BytesView data) {
 Hash32 Sha256::finalize() {
     const std::uint64_t bits = total_bits_;
     detail::t_work_counters.sha256_bytes += bits / 8;
-    const std::uint8_t pad = 0x80;
-    update(BytesView{&pad, 1});
-    const std::uint8_t zero = 0x00;
-    while (buffered_ != 56) update(BytesView{&zero, 1});
-    std::uint8_t len[8];
-    for (int i = 0; i < 8; ++i) {
-        len[i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+    // 0x80, zeros up to byte 56 of a block, then the 64-bit length.
+    buffer_[buffered_++] = 0x80;
+    if (buffered_ > 56) {
+        std::memset(buffer_ + buffered_, 0, 64 - buffered_);
+        compress_(state_, buffer_, 1);
+        buffered_ = 0;
     }
-    // The length bytes must not count toward the message length; adjust after.
-    update(BytesView{len, 8});
+    std::memset(buffer_ + buffered_, 0, 56 - buffered_);
+    for (int i = 0; i < 8; ++i) {
+        buffer_[56 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+    }
+    compress_(state_, buffer_, 1);
 
     Hash32 out;
     for (int i = 0; i < 8; ++i) {

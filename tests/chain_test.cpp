@@ -14,6 +14,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "crypto/keccak.hpp"
+#include "crypto/work_counters.hpp"
 #include "rlp/rlp.hpp"
 
 namespace bcfl::chain {
@@ -194,6 +195,168 @@ TEST(Pow, MineSealStopsAtNonceSpaceBoundary) {
     }
     FAIL() << "no difficulty left the last six nonces unsolved";
 }
+
+// The PoW code before the search moved into crypto::keccak256_nonce_search,
+// kept verbatim as the reference: one heap-allocated keccak per nonce.
+namespace legacy_pow {
+
+crypto::U256 pow_value(const Hash32& seal_hash, std::uint64_t nonce) {
+    const Bytes nonce_bytes = be_bytes(nonce);
+    const Hash32 digest = crypto::keccak256(seal_hash.view(), nonce_bytes);
+    return crypto::U256::from_hash(digest);
+}
+
+bool check_pow(const BlockHeader& header) {
+    return pow_value(header.seal_hash(), header.pow_nonce) <=
+           pow_target(header.difficulty);
+}
+
+std::optional<std::uint64_t> mine_seal(const BlockHeader& header,
+                                       std::uint64_t start_nonce,
+                                       std::uint64_t max_attempts) {
+    const Hash32 seal = header.seal_hash();
+    const crypto::U256 target = pow_target(header.difficulty);
+    // Stop at the end of the nonce space instead of letting start_nonce + i
+    // wrap back to 0 and silently retry nonces already checked. The nonces
+    // still available are start_nonce..UINT64_MAX, i.e. UINT64_MAX -
+    // start_nonce + 1 of them (which only fits in uint64 when
+    // start_nonce > 0 — at start_nonce == 0 the whole space exceeds any
+    // possible max_attempts anyway).
+    std::uint64_t attempts = max_attempts;
+    if (start_nonce > 0) {
+        const std::uint64_t remaining =
+            std::numeric_limits<std::uint64_t>::max() - start_nonce + 1;
+        attempts = std::min(attempts, remaining);
+    }
+    for (std::uint64_t i = 0; i < attempts; ++i) {
+        const std::uint64_t nonce = start_nonce + i;
+        if (pow_value(seal, nonce) <= target) return nonce;
+    }
+    return std::nullopt;
+}
+
+}  // namespace legacy_pow
+
+// One random search: a header, a difficulty in 1..2^20, a start nonce (near
+// the top of the nonce space a quarter of the time) and an attempt count
+// around multiples of the vector batch width, or up to 2000.
+struct PowCase {
+    BlockHeader header;
+    std::uint64_t start = 0;
+    std::uint64_t attempts = 0;
+};
+
+PowCase random_pow_case(Rng& rng) {
+    PowCase c;
+    c.header.number = rng.next_below(1000);
+    for (auto& byte : c.header.parent_hash.data) {
+        byte = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    c.header.timestamp_ms = rng.next_u64();
+    const unsigned log_difficulty = static_cast<unsigned>(rng.next_below(21));
+    c.header.difficulty =
+        std::max<std::uint64_t>(1, (1ull << log_difficulty) -
+                                       rng.next_below(1ull << log_difficulty));
+    switch (rng.next_below(4)) {
+        case 0: c.start = std::numeric_limits<std::uint64_t>::max() -
+                          rng.next_below(40); break;
+        case 1: c.start = rng.next_below(100); break;
+        default: c.start = rng.next_u64(); break;
+    }
+    constexpr std::uint64_t kCounts[] = {0,  1,  2,  3,  4,  5,  7,  8,
+                                         9,  11, 12, 13, 16, 17, 31, 33};
+    c.attempts = rng.next_below(2) == 0
+                     ? kCounts[rng.next_below(std::size(kCounts))]
+                     : rng.next_below(2001);
+    return c;
+}
+
+TEST(Pow, MineSealMatchesLegacyLoopNonceAndWork) {
+    Rng rng(0x9047);
+    int found = 0;
+    for (int i = 0; i < 300; ++i) {
+        const PowCase c = random_pow_case(rng);
+        const crypto::WorkCounters before = crypto::work_counters();
+        const auto expected = legacy_pow::mine_seal(c.header, c.start, c.attempts);
+        const crypto::WorkCounters legacy_work = crypto::work_counters() - before;
+        const auto got = mine_seal(c.header, c.start, c.attempts);
+        const crypto::WorkCounters work =
+            crypto::work_counters() - before - legacy_work;
+        ASSERT_EQ(got, expected) << "case " << i;
+        ASSERT_EQ(work, legacy_work) << "case " << i;
+        found += expected.has_value();
+    }
+    EXPECT_GT(found, 50);  // both outcomes are exercised
+    EXPECT_LT(found, 250);
+}
+
+TEST(Pow, CheckPowMatchesLegacyVerdictAndWork) {
+    Rng rng(0xc4ec);
+    int valid = 0;
+    for (int i = 0; i < 500; ++i) {
+        BlockHeader h = random_pow_case(rng).header;
+        h.pow_nonce = rng.next_u64();
+        const crypto::WorkCounters before = crypto::work_counters();
+        const bool expected = legacy_pow::check_pow(h);
+        const crypto::WorkCounters legacy_work = crypto::work_counters() - before;
+        const bool got = check_pow(h);
+        EXPECT_EQ(got, expected) << "case " << i;
+        EXPECT_EQ(crypto::work_counters() - before - legacy_work, legacy_work);
+        valid += expected;
+    }
+    EXPECT_GT(valid, 0);
+}
+
+// Each compiled nonce-search tier against the legacy loop; a tier the CPU
+// lacks is skipped by name.
+class PowSearchTier
+    : public ::testing::TestWithParam<crypto::NonceSearchKernel> {
+protected:
+    void SetUp() override {
+        if (!GetParam().runnable()) {
+            GTEST_SKIP() << "CPU lacks " << GetParam().cpu_feature
+                         << ", so tier " << GetParam().name << " cannot run";
+        }
+    }
+};
+
+TEST_P(PowSearchTier, MatchesLegacyLoopNonceAndWork) {
+    Rng rng(0x71e5);
+    for (int i = 0; i < 300; ++i) {
+        const PowCase c = random_pow_case(rng);
+        const Hash32 seal = c.header.seal_hash();
+        // mine_seal's clamp at the end of the nonce space.
+        const std::uint64_t count =
+            c.start == 0 ? c.attempts
+                         : std::min(c.attempts,
+                                    std::numeric_limits<std::uint64_t>::max() -
+                                        c.start + 1);
+
+        crypto::WorkCounters before = crypto::work_counters();
+        (void)c.header.seal_hash();
+        const crypto::WorkCounters seal_work = crypto::work_counters() - before;
+        before = crypto::work_counters();
+        const auto expected = legacy_pow::mine_seal(c.header, c.start, c.attempts);
+        const crypto::WorkCounters legacy_work =
+            crypto::work_counters() - before - seal_work;
+
+        before = crypto::work_counters();
+        const auto got = GetParam().run(seal, c.start, count,
+                                        pow_target(c.header.difficulty));
+        ASSERT_EQ(got, expected) << "case " << i;
+        ASSERT_EQ(crypto::work_counters() - before, legacy_work) << "case " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, PowSearchTier,
+    ::testing::ValuesIn(crypto::keccak_nonce_search_kernels().begin(),
+                        crypto::keccak_nonce_search_kernels().end()),
+    [](const ::testing::TestParamInfo<crypto::NonceSearchKernel>& info) {
+        std::string name = info.param.name;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 TEST(Pow, RetargetMovesTowardTarget) {
     // Too-fast block -> difficulty up; too-slow -> down; exact -> unchanged.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "crypto/sha256.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "crypto/hash_kernels.hpp"
 #include "crypto/u256.hpp"
 #include "crypto/work_counters.hpp"
 
@@ -47,6 +50,245 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     }
 }
 
+// The SHA-256 implementation before the kernels were split out, kept
+// verbatim as the reference every compression tier is compared against.
+namespace legacy_sha {
+
+constexpr std::uint32_t kInit[8] = {
+    0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+    0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u,
+};
+
+constexpr std::uint32_t kRound[64] = {
+    0x428a2f98u, 0x71374491u, 0xb5c0fbcfu, 0xe9b5dba5u, 0x3956c25bu,
+    0x59f111f1u, 0x923f82a4u, 0xab1c5ed5u, 0xd807aa98u, 0x12835b01u,
+    0x243185beu, 0x550c7dc3u, 0x72be5d74u, 0x80deb1feu, 0x9bdc06a7u,
+    0xc19bf174u, 0xe49b69c1u, 0xefbe4786u, 0x0fc19dc6u, 0x240ca1ccu,
+    0x2de92c6fu, 0x4a7484aau, 0x5cb0a9dcu, 0x76f988dau, 0x983e5152u,
+    0xa831c66du, 0xb00327c8u, 0xbf597fc7u, 0xc6e00bf3u, 0xd5a79147u,
+    0x06ca6351u, 0x14292967u, 0x27b70a85u, 0x2e1b2138u, 0x4d2c6dfcu,
+    0x53380d13u, 0x650a7354u, 0x766a0abbu, 0x81c2c92eu, 0x92722c85u,
+    0xa2bfe8a1u, 0xa81a664bu, 0xc24b8b70u, 0xc76c51a3u, 0xd192e819u,
+    0xd6990624u, 0xf40e3585u, 0x106aa070u, 0x19a4c116u, 0x1e376c08u,
+    0x2748774cu, 0x34b0bcb5u, 0x391c0cb3u, 0x4ed8aa4au, 0x5b9cca4fu,
+    0x682e6ff3u, 0x748f82eeu, 0x78a5636fu, 0x84c87814u, 0x8cc70208u,
+    0x90befffau, 0xa4506cebu, 0xbef9a3f7u, 0xc67178f2u,
+};
+
+constexpr std::uint32_t rotr(std::uint32_t x, int n) {
+    return (x >> n) | (x << (32 - n));
+}
+
+class LegacySha256 {
+public:
+    LegacySha256() { reset(); }
+
+    void reset();
+    void update(BytesView data);
+    [[nodiscard]] Hash32 finalize();
+
+private:
+    void process_block(const std::uint8_t* block);
+
+    std::uint32_t state_[8]{};
+    std::uint8_t buffer_[64]{};
+    std::size_t buffered_ = 0;
+    std::uint64_t total_bits_ = 0;
+};
+
+void LegacySha256::reset() {
+    std::memcpy(state_, kInit, sizeof(state_));
+    buffered_ = 0;
+    total_bits_ = 0;
+}
+
+void LegacySha256::process_block(const std::uint8_t* block) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+        w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
+               (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
+               (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
+               static_cast<std::uint32_t>(block[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+        const std::uint32_t s0 =
+            rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+        const std::uint32_t s1 =
+            rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
+    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+
+    for (int i = 0; i < 64; ++i) {
+        const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+        const std::uint32_t ch = (e & f) ^ (~e & g);
+        const std::uint32_t temp1 = h + s1 + ch + kRound[i] + w[i];
+        const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+        const std::uint32_t temp2 = s0 + maj;
+        h = g;
+        g = f;
+        f = e;
+        e = d + temp1;
+        d = c;
+        c = b;
+        b = a;
+        a = temp1 + temp2;
+    }
+
+    state_[0] += a;
+    state_[1] += b;
+    state_[2] += c;
+    state_[3] += d;
+    state_[4] += e;
+    state_[5] += f;
+    state_[6] += g;
+    state_[7] += h;
+}
+
+void LegacySha256::update(BytesView data) {
+    total_bits_ += static_cast<std::uint64_t>(data.size()) * 8;
+    std::size_t offset = 0;
+    if (buffered_ > 0) {
+        const std::size_t take =
+            std::min<std::size_t>(64 - buffered_, data.size());
+        std::memcpy(buffer_ + buffered_, data.data(), take);
+        buffered_ += take;
+        offset += take;
+        if (buffered_ == 64) {
+            process_block(buffer_);
+            buffered_ = 0;
+        }
+    }
+    while (offset + 64 <= data.size()) {
+        process_block(data.data() + offset);
+        offset += 64;
+    }
+    if (offset < data.size()) {
+        std::memcpy(buffer_, data.data() + offset, data.size() - offset);
+        buffered_ = data.size() - offset;
+    }
+}
+
+Hash32 LegacySha256::finalize() {
+    const std::uint64_t bits = total_bits_;
+    detail::t_work_counters.sha256_bytes += bits / 8;
+    const std::uint8_t pad = 0x80;
+    update(BytesView{&pad, 1});
+    const std::uint8_t zero = 0x00;
+    while (buffered_ != 56) update(BytesView{&zero, 1});
+    std::uint8_t len[8];
+    for (int i = 0; i < 8; ++i) {
+        len[i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+    }
+    // The length bytes must not count toward the message length; adjust after.
+    update(BytesView{len, 8});
+
+    Hash32 out;
+    for (int i = 0; i < 8; ++i) {
+        out.data[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
+        out.data[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
+        out.data[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
+        out.data[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
+    }
+    reset();
+    return out;
+}
+
+}  // namespace legacy_sha
+
+// Feeds `msg` to `hasher` in random-sized pieces, zero-length ones included.
+template <class Hasher>
+void update_in_pieces(Hasher& hasher, BytesView msg, Rng& rng) {
+    std::size_t offset = 0;
+    while (offset < msg.size()) {
+        const std::size_t take = rng.next_below(msg.size() - offset + 1);
+        hasher.update(msg.subspan(offset, take));
+        offset += take;
+    }
+    hasher.update(msg.subspan(offset));
+}
+
+std::string tier_test_name(const char* name) {
+    std::string out = name;
+    std::replace(out.begin(), out.end(), '-', '_');
+    return out;
+}
+
+// Each compiled compression tier; one the CPU lacks is skipped by name.
+class Sha256Tier : public ::testing::TestWithParam<Sha256Kernel> {
+protected:
+    void SetUp() override {
+        if (!GetParam().runnable()) {
+            GTEST_SKIP() << "CPU lacks " << GetParam().cpu_feature
+                         << ", so tier " << GetParam().name << " cannot run";
+        }
+    }
+
+    [[nodiscard]] Hash32 digest(BytesView data) const {
+        Sha256 hasher(GetParam());
+        hasher.update(data);
+        return hasher.finalize();
+    }
+};
+
+TEST_P(Sha256Tier, NistVectors) {
+    EXPECT_EQ(digest(BytesView{}).hex(),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(digest(str_bytes("abc")).hex(),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(
+        digest(str_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
+            .hex(),
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    Sha256 hasher(GetParam());
+    const Bytes chunk(1000, static_cast<std::uint8_t>('a'));
+    for (int i = 0; i < 1000; ++i) hasher.update(chunk);
+    EXPECT_EQ(hasher.finalize().hex(),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256Tier, MatchesLegacyOnRandomSplitMessages) {
+    Rng rng(0x5a256);
+    std::vector<Bytes> messages;
+    for (std::size_t n = 0; n <= 300; ++n) {
+        Bytes msg(n);
+        for (auto& byte : msg) byte = static_cast<std::uint8_t>(rng.next_u64());
+        messages.push_back(std::move(msg));
+    }
+    Bytes chunk(48 * 1024);  // a model-chunk-sized payload
+    for (auto& byte : chunk) byte = static_cast<std::uint8_t>(rng.next_u64());
+    for (int i = 0; i < 8; ++i) messages.push_back(chunk);
+
+    Sha256 hasher(GetParam());  // reused: finalize must reset it
+    for (const Bytes& msg : messages) {
+        legacy_sha::LegacySha256 reference;
+        update_in_pieces(reference, msg, rng);
+        update_in_pieces(hasher, msg, rng);
+        const WorkCounters before = work_counters();
+        const Hash32 got = hasher.finalize();
+        EXPECT_EQ((work_counters() - before).sha256_bytes, msg.size());
+        ASSERT_EQ(got, reference.finalize()) << "length " << msg.size();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, Sha256Tier,
+    ::testing::ValuesIn(sha256_kernels().begin(), sha256_kernels().end()),
+    [](const ::testing::TestParamInfo<Sha256Kernel>& info) {
+        return tier_test_name(info.param.name);
+    });
+
+TEST(Sha256, PortableTierIsCompiledAndDispatchPicksARunnableTier) {
+    ASSERT_FALSE(sha256_kernels().empty());
+    EXPECT_EQ(sha256_kernels().front().cpu_feature, nullptr);
+    EXPECT_TRUE(sha256_kernel().runnable());
+    EXPECT_NE(hash_kernels().find(std::string("sha256=") + sha256_kernel().name),
+              std::string::npos);
+}
+
 // -------------------------------------------------------------- Keccak-256
 
 TEST(Keccak, KnownVectors) {
@@ -77,6 +319,125 @@ TEST(Keccak, LongInputCrossesRateBoundary) {
                                        BytesView(data).subspan(n / 2));
         EXPECT_EQ(once, split) << n;
     }
+}
+
+// The textbook Keccak-f[1600] loop the row-wise permutation replaced,
+// kept verbatim (minus the work-counter tally) as the reference.
+namespace legacy_keccak {
+
+constexpr int kRounds = 24;
+constexpr std::size_t kRate = 136;  // 1088-bit rate for Keccak-256.
+
+constexpr std::uint64_t kRoundConstants[kRounds] = {
+    0x0000000000000001ull, 0x0000000000008082ull, 0x800000000000808aull,
+    0x8000000080008000ull, 0x000000000000808bull, 0x0000000080000001ull,
+    0x8000000080008081ull, 0x8000000000008009ull, 0x000000000000008aull,
+    0x0000000000000088ull, 0x0000000080008009ull, 0x000000008000000aull,
+    0x000000008000808bull, 0x800000000000008bull, 0x8000000000008089ull,
+    0x8000000000008003ull, 0x8000000000008002ull, 0x8000000000000080ull,
+    0x000000000000800aull, 0x800000008000000aull, 0x8000000080008081ull,
+    0x8000000000008080ull, 0x0000000080000001ull, 0x8000000080008008ull,
+};
+
+constexpr int kRotation[25] = {0,  1,  62, 28, 27, 36, 44, 6,  55, 20, 3,  10, 43,
+                               25, 39, 41, 45, 15, 21, 8,  18, 2,  61, 56, 14};
+
+constexpr std::uint64_t rotl64(std::uint64_t x, int n) {
+    return n == 0 ? x : (x << n) | (x >> (64 - n));
+}
+
+void keccak_f1600(std::uint64_t state[25]) {
+    for (int round = 0; round < kRounds; ++round) {
+        // Theta.
+        std::uint64_t c[5];
+        for (int x = 0; x < 5; ++x) {
+            c[x] = state[x] ^ state[x + 5] ^ state[x + 10] ^ state[x + 15] ^
+                   state[x + 20];
+        }
+        for (int x = 0; x < 5; ++x) {
+            const std::uint64_t d = c[(x + 4) % 5] ^ rotl64(c[(x + 1) % 5], 1);
+            for (int y = 0; y < 25; y += 5) state[x + y] ^= d;
+        }
+        // Rho + Pi.
+        std::uint64_t b[25];
+        for (int x = 0; x < 5; ++x) {
+            for (int y = 0; y < 5; ++y) {
+                b[y + 5 * ((2 * x + 3 * y) % 5)] =
+                    rotl64(state[x + 5 * y], kRotation[x + 5 * y]);
+            }
+        }
+        // Chi.
+        for (int x = 0; x < 5; ++x) {
+            for (int y = 0; y < 25; y += 5) {
+                state[x + y] =
+                    b[x + y] ^ (~b[(x + 1) % 5 + y] & b[(x + 2) % 5 + y]);
+            }
+        }
+        // Iota.
+        state[0] ^= kRoundConstants[round];
+    }
+}
+
+void absorb_all(std::uint64_t state[25], BytesView a, BytesView b) {
+    std::uint8_t block[kRate];
+    std::size_t filled = 0;
+    auto absorb = [&](BytesView data) {
+        std::size_t offset = 0;
+        while (offset < data.size()) {
+            const std::size_t take =
+                std::min(kRate - filled, data.size() - offset);
+            std::memcpy(block + filled, data.data() + offset, take);
+            filled += take;
+            offset += take;
+            if (filled == kRate) {
+                for (std::size_t i = 0; i < kRate / 8; ++i) {
+                    std::uint64_t lane = 0;
+                    std::memcpy(&lane, block + i * 8, 8);
+                    state[i] ^= lane;  // little-endian host assumed (x86/arm).
+                }
+                keccak_f1600(state);
+                filled = 0;
+            }
+        }
+    };
+    absorb(a);
+    absorb(b);
+    // Padding: Keccak (0x01 ... 0x80).
+    std::memset(block + filled, 0, kRate - filled);
+    block[filled] ^= 0x01;
+    block[kRate - 1] ^= 0x80;
+    for (std::size_t i = 0; i < kRate / 8; ++i) {
+        std::uint64_t lane = 0;
+        std::memcpy(&lane, block + i * 8, 8);
+        state[i] ^= lane;
+    }
+    keccak_f1600(state);
+}
+
+Hash32 legacy_keccak256(BytesView a, BytesView b) {
+    std::uint64_t state[25] = {};
+    absorb_all(state, a, b);
+    Hash32 out;
+    std::memcpy(out.data.data(), state, 32);
+    return out;
+}
+
+
+}  // namespace legacy_keccak
+
+TEST(Keccak, RowWisePermutationMatchesLegacy) {
+    Rng rng(0x6b);
+    for (std::size_t n = 0; n <= 600; n += 1 + n / 50) {
+        Bytes data(n);
+        for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next_u64());
+        const std::size_t cut = rng.next_below(n + 1);
+        const BytesView a = BytesView(data).subspan(0, cut);
+        const BytesView b = BytesView(data).subspan(cut);
+        ASSERT_EQ(keccak256(a, b), legacy_keccak::legacy_keccak256(a, b)) << n;
+    }
+    const Bytes chunk(50 * 1024, 0xc3);
+    EXPECT_EQ(keccak256(chunk),
+              legacy_keccak::legacy_keccak256(chunk, BytesView{}));
 }
 
 // ----------------------------------------------------------- Work counters

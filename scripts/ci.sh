@@ -87,7 +87,7 @@ else
   cmake -B build-fuzz -S . -DBCFL_FUZZ=ON -DBCFL_ASAN=ON \
     -DBCFL_BUILD_TESTS=OFF -DBCFL_BUILD_BENCHES=OFF -DBCFL_BUILD_EXAMPLES=OFF
   cmake --build build-fuzz -j "${JOBS}"
-  for target in json rlp asm model analysis tx; do
+  for target in json rlp asm model analysis tx node; do
     ./build-fuzz/fuzz/fuzz_${target} fuzz/corpus/${target}/*
   done
 

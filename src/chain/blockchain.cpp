@@ -9,6 +9,24 @@
 
 namespace bcfl::chain {
 
+namespace {
+
+/// Each tx's id, in order: the pooled copy's when `pool` (which may be
+/// null) holds the same encoding, otherwise the keccak256 of its encoding.
+std::vector<Hash32> tx_ids_of(const std::vector<Transaction>& txs,
+                              const TxPool* pool) {
+    std::vector<Hash32> ids;
+    ids.reserve(txs.size());
+    for (const Transaction& tx : txs) {
+        const std::optional<Hash32> pooled =
+            pool != nullptr ? pool->id_of(tx) : std::nullopt;
+        ids.push_back(pooled ? *pooled : crypto::keccak256(tx.encode()));
+    }
+    return ids;
+}
+
+}  // namespace
+
 Blockchain::Blockchain(ChainConfig config,
                        std::shared_ptr<BlockExecutor> executor)
     : config_(config), executor_(std::move(executor)) {
@@ -167,10 +185,7 @@ std::string Blockchain::validate(
     }
     if (!check_pow(h)) return "invalid proof of work";
     // Block::compute_tx_root, keeping the leaves: they are the tx ids.
-    tx_ids.reserve(block.transactions.size());
-    for (const Transaction& tx : block.transactions) {
-        tx_ids.push_back(crypto::keccak256(tx.encode()));
-    }
+    tx_ids = tx_ids_of(block.transactions, verified);
     if (h.tx_root != crypto::merkle_root(tx_ids)) return "tx root mismatch";
 
     // Expected nonces come from the parent's per-branch snapshot — O(1)
@@ -390,6 +405,20 @@ void Blockchain::set_head(const Hash32& new_head, ImportResult& result) {
 Block Blockchain::build_block(const Address& miner,
                               std::vector<Transaction> txs,
                               std::uint64_t timestamp_ms) const {
+    return build_impl(miner, std::move(txs), timestamp_ms, nullptr);
+}
+
+Block Blockchain::build_block(const Address& miner,
+                              std::vector<Transaction> txs,
+                              std::uint64_t timestamp_ms,
+                              const TxPool& pool) const {
+    return build_impl(miner, std::move(txs), timestamp_ms, &pool);
+}
+
+Block Blockchain::build_impl(const Address& miner,
+                             std::vector<Transaction> txs,
+                             std::uint64_t timestamp_ms,
+                             const TxPool* pool) const {
     const Record& parent = records_.at(head_hash_);
     Block block;
     block.transactions = std::move(txs);
@@ -400,7 +429,7 @@ Block Blockchain::build_block(const Address& miner,
     h.timestamp_ms = timestamp_ms;
     h.gas_limit = config_.block_gas_limit;
     h.difficulty = child_difficulty(parent.block.header, timestamp_ms);
-    h.tx_root = block.compute_tx_root();
+    h.tx_root = crypto::merkle_root(tx_ids_of(block.transactions, pool));
     const ExecutionResult exec =
         executor_->execute(parent.block.header, block);
     h.state_root = exec.state_root;

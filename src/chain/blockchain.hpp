@@ -111,15 +111,17 @@ public:
     /// pool admits only verified txs (see TxPool::add), the id is the
     /// keccak256 of the tx's full encoding — payload, public key and
     /// signature — and validation recomputes that id from the block's own
-    /// tx bytes (the same hash that checks the tx root). So a block tx
-    /// that matches a pooled id is byte for byte a tx already verified,
-    /// and a forgery sharing a pooled tx's sender and nonce has another id
-    /// and is verified in full. Nothing is cached on the mutable
-    /// Transaction itself, so a tampered copy can never inherit a verdict;
-    /// a tx with `sender_pub.infinity` set, a flag the id does not cover,
-    /// is always verified.
+    /// tx bytes. So a block tx that matches a pooled id is byte for byte
+    /// a tx already verified, and a forgery sharing a pooled tx's sender
+    /// and nonce has another id and is verified in full. The pool also
+    /// supplies the ids themselves: a block tx whose every encoded field
+    /// equals a pending tx's (TxPool::id_of) takes that tx's id instead of
+    /// a keccak256 of its encoding, and any other tx is hashed. Nothing is
+    /// cached on the mutable Transaction itself, so a tampered copy can
+    /// never inherit a verdict; a tx with `sender_pub.infinity` set, a flag
+    /// the id does not cover, is always verified.
     /// The outcome is the same as import_block(block) (tests/chain_test's
-    /// differential test); only the work differs.
+    /// differential tests); only the work differs.
     ImportResult import_block(const Block& block, const TxPool& verified);
 
     /// Assembles an unsealed block on top of the current head (fills roots by
@@ -127,6 +129,13 @@ public:
     [[nodiscard]] Block build_block(const Address& miner,
                                     std::vector<Transaction> txs,
                                     std::uint64_t timestamp_ms) const;
+    /// The same block, with the tx root over ids taken from `pool`
+    /// (TxPool::id_of) where it holds the tx: a miner building from its
+    /// own pool hashes no tx encoding here.
+    [[nodiscard]] Block build_block(const Address& miner,
+                                    std::vector<Transaction> txs,
+                                    std::uint64_t timestamp_ms,
+                                    const TxPool& pool) const;
 
     [[nodiscard]] const BlockHeader& head() const;
     [[nodiscard]] Hash32 head_hash() const { return head_hash_; }
@@ -202,9 +211,13 @@ private:
     };
 
     ImportResult import_impl(const Block& block, const TxPool* verified);
+    [[nodiscard]] Block build_impl(const Address& miner,
+                                   std::vector<Transaction> txs,
+                                   std::uint64_t timestamp_ms,
+                                   const TxPool* pool) const;
 
-    /// Fills `tx_ids` (each tx hashed once, for the tx root) as soon as
-    /// the header checks pass. On success, `touched` holds the next
+    /// Fills `tx_ids` (each tx hashed at most once, for the tx root) as
+    /// soon as the header checks pass. On success, `touched` holds the next
     /// expected nonce per sender appearing in the block — exactly the
     /// delta layer of its snapshot. `verified` may be null (verify all).
     [[nodiscard]] std::string validate(

@@ -6,17 +6,61 @@
 
 namespace bcfl::chain {
 
+namespace {
+
+/// Compares every field Transaction::encode writes, so a match encodes to
+/// the same bytes without either side being encoded or hashed.
+bool same_encoding(const Transaction& a, const Transaction& b) {
+    return a.nonce == b.nonce && a.signature == b.signature &&
+           a.to == b.to && a.gas_limit == b.gas_limit &&
+           a.gas_price == b.gas_price && a.sender_pub.x == b.sender_pub.x &&
+           a.sender_pub.y == b.sender_pub.y && a.data == b.data;
+}
+
+}  // namespace
+
 bool TxPool::add(const Transaction& tx, const Hash32& id) {
     if (by_hash_.contains(id)) return false;
     if (!tx.verify_signature()) return false;
     if (tx.gas_limit < intrinsic_gas(schedule_, tx)) return false;
-    by_hash_.emplace(id, tx);
-    order_.push_back(id);
+    insert(tx, id);
     return true;
 }
 
 bool TxPool::contains(const Hash32& tx_hash) const {
     return by_hash_.contains(tx_hash);
+}
+
+std::optional<Hash32> TxPool::id_of(const Transaction& tx) const {
+    const auto [first, last] = by_content_.equal_range(content_key(tx));
+    for (auto slot = first; slot != last; ++slot) {
+        if (same_encoding(by_hash_.at(slot->second), tx)) return slot->second;
+    }
+    return std::nullopt;
+}
+
+std::uint64_t TxPool::content_key(const Transaction& tx) {
+    // R.x is a curve point coordinate, uniform across signatures.
+    return tx.signature.rx.limb[0] ^ (tx.nonce * 0x9e3779b97f4a7c15ull);
+}
+
+bool TxPool::insert(const Transaction& tx, const Hash32& id) {
+    if (!by_hash_.emplace(id, tx).second) return false;
+    order_.push_back(id);
+    by_content_.emplace(content_key(tx), id);
+    return true;
+}
+
+TxPool::Entry TxPool::erase(Entry entry) {
+    const auto [first, last] =
+        by_content_.equal_range(content_key(entry->second));
+    for (auto slot = first; slot != last; ++slot) {
+        if (slot->second == entry->first) {
+            by_content_.erase(slot);
+            break;
+        }
+    }
+    return by_hash_.erase(entry);
 }
 
 std::vector<Transaction> TxPool::select(
@@ -111,7 +155,8 @@ void TxPool::remove(const std::vector<Hash32>& ids) {
     // harmless — block building consults the chain's account nonces, which
     // have moved past it.
     for (const Hash32& id : ids) {
-        by_hash_.erase(id);
+        const auto it = by_hash_.find(id);
+        if (it != by_hash_.end()) erase(it);
         // Lazy erase from order_: by_hash_ lookups skip stale ids; compact
         // occasionally to bound memory.
     }
@@ -122,16 +167,19 @@ std::size_t TxPool::prune_stale(
     const std::unordered_map<Address, std::uint64_t, FixedBytesHasher>&
         next_nonce_by_sender) {
     if (next_nonce_by_sender.empty() || by_hash_.empty()) return 0;
-    std::vector<Hash32> stale;
-    for (const auto& [id, tx] : by_hash_) {
+    std::size_t dropped = 0;
+    for (auto entry = by_hash_.begin(); entry != by_hash_.end();) {
+        const Transaction& tx = entry->second;
         const auto it = next_nonce_by_sender.find(tx.sender());
         if (it != next_nonce_by_sender.end() && tx.nonce < it->second) {
-            stale.push_back(id);
+            entry = erase(entry);
+            ++dropped;
+        } else {
+            ++entry;
         }
     }
-    for (const Hash32& id : stale) by_hash_.erase(id);
     maybe_compact_order();
-    return stale.size();
+    return dropped;
 }
 
 void TxPool::maybe_compact_order() {
@@ -153,10 +201,8 @@ void TxPool::maybe_compact_order() {
 
 void TxPool::reinject(const std::vector<Transaction>& txs,
                       const std::vector<Hash32>& ids) {
-    for (std::size_t i = 0; i < txs.size(); ++i) {
-        // emplace keeps a still-pending tx as-is.
-        if (by_hash_.emplace(ids[i], txs[i]).second) order_.push_back(ids[i]);
-    }
+    // insert keeps a still-pending tx as-is.
+    for (std::size_t i = 0; i < txs.size(); ++i) insert(txs[i], ids[i]);
 }
 
 }  // namespace bcfl::chain

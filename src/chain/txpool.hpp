@@ -41,6 +41,17 @@ public:
     /// True if the pool currently holds the transaction.
     [[nodiscard]] bool contains(const Hash32& tx_hash) const;
 
+    /// The id of the pending tx whose wire encoding equals `tx`'s, found
+    /// without hashing: every encoded field (nonce, to, gas limit and
+    /// price, data, public key, signature) must match. Encoding is a
+    /// function of those fields and decoding is canonical, so a match has
+    /// the very bytes — and therefore the keccak256 — of the pooled tx,
+    /// and a node hashes each tx encoding once, when it first sees it.
+    /// Expected O(1) plus one compare of the payload: candidates come from
+    /// an index on (nonce, signature R.x), fields readable without hashing.
+    /// `sender_pub.infinity` is not encoded and is ignored here.
+    [[nodiscard]] std::optional<Hash32> id_of(const Transaction& tx) const;
+
     /// Selects transactions for a block: highest gas price first, respecting
     /// per-sender nonce order and the remaining block gas budget (by
     /// gas_limit). Selected transactions stay in the pool until `remove`.
@@ -73,8 +84,21 @@ public:
 
     [[nodiscard]] std::size_t size() const { return by_hash_.size(); }
     [[nodiscard]] bool empty() const { return by_hash_.empty(); }
+    /// Entries in the content index behind id_of; always size().
+    [[nodiscard]] std::size_t content_index_size() const {
+        return by_content_.size();
+    }
 
 private:
+    using Entry =
+        std::unordered_map<Hash32, Transaction, FixedBytesHasher>::iterator;
+
+    /// The id_of index key: nonce and signature R.x, mixed.
+    [[nodiscard]] static std::uint64_t content_key(const Transaction& tx);
+    /// Adds to by_hash_, order_ and the content index unless pending.
+    bool insert(const Transaction& tx, const Hash32& id);
+    /// Drops the entry and its content-index slot; returns the next entry.
+    Entry erase(Entry entry);
     /// Rebuilds `order_` without dead/duplicate ids once it is mostly
     /// stale, bounding its memory by what is pending.
     void maybe_compact_order();
@@ -82,6 +106,9 @@ private:
     GasSchedule schedule_;
     std::unordered_map<Hash32, Transaction, FixedBytesHasher> by_hash_;
     std::vector<Hash32> order_;  // arrival order; may hold removed ids
+    // content_key -> id, one entry per pending tx: the pool is the map
+    // from bytes to ids, so the index holds ids, never payload copies.
+    std::unordered_multimap<std::uint64_t, Hash32> by_content_;
 };
 
 }  // namespace bcfl::chain

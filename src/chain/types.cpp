@@ -185,8 +185,6 @@ Hash32 Block::compute_tx_root() const {
     return crypto::merkle_root(leaves);
 }
 
-std::size_t Block::wire_size() const { return encode().size(); }
-
 Bytes Block::encode() const {
     std::vector<rlp::Item> tx_items;
     tx_items.reserve(transactions.size());
@@ -213,6 +211,10 @@ Block Block::decode(BytesView wire) {
         block.transactions.push_back(Transaction::decode(as_string(tx_item)));
     }
     return block;
+}
+
+Hash32 Block::hash_encoded(BytesView wire) {
+    return crypto::keccak256(rlp::first_string(wire));
 }
 
 Hash32 receipts_root(const std::vector<Receipt>& receipts) {

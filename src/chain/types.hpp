@@ -113,12 +113,16 @@ struct Block {
     [[nodiscard]] Hash32 hash() const { return header.hash(); }
     /// Merkle root over transaction hashes.
     [[nodiscard]] Hash32 compute_tx_root() const;
-    /// Wire size in bytes (drives simulated propagation delay).
-    [[nodiscard]] std::size_t wire_size() const;
 
     [[nodiscard]] Bytes encode() const;
     /// Canonical like Transaction::decode: encode() reproduces `wire`.
     static Block decode(BytesView wire);
+    /// The hash of an encoded block, read off its header bytes without
+    /// decoding the tx list. Equals decode(wire).hash() whenever that
+    /// decode succeeds (decoding is canonical), so a node can drop a
+    /// duplicate before paying for the decode. Throws DecodeError when
+    /// `wire` does not open with a header string.
+    static Hash32 hash_encoded(BytesView wire);
 };
 
 /// Merkle root over receipt hashes.

@@ -172,7 +172,7 @@ DecentralizedResult run_decentralized(const fl::FlTask& task,
         probe.gossip_seen_size = node->gossip_seen_size();
         probe.gossip_seen_cap = node->gossip_seen_cap();
         probe.orphans_buffered = node->orphan_blocks_buffered();
-        probe.pool_size = node->pool_size();
+        probe.pool_size = node->pool().size();
         probe.seen_evictions = node->stats().seen_evictions;
         probe.stale_txs_pruned = node->stats().stale_txs_pruned;
         probe.nonce_snapshots_held = node->chain().nonce_snapshots_held();

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -46,19 +47,44 @@ public:
     /// active partition drops the message outright; a per-link override
     /// replaces loss/latency/bandwidth for just this pair.
     void send(NodeId from, NodeId to, Bytes message) {
+        deliver(from, to, std::make_shared<const Bytes>(std::move(message)));
+    }
+
+    /// Sends to every other node (flood). Every delivery shares one copy
+    /// of the message, held until the last of them has run.
+    void broadcast(NodeId from, const Bytes& message) {
+        const auto shared = std::make_shared<const Bytes>(message);
+        for (NodeId to = 0; to < receivers_.size(); ++to) {
+            if (to != from) deliver(from, to, shared);
+        }
+    }
+
+    [[nodiscard]] const TrafficStats& stats() const { return stats_; }
+    [[nodiscard]] const LinkParams& params() const { return params_; }
+    [[nodiscard]] const NetworkConditions& conditions() const {
+        return conditions_;
+    }
+    /// Whether `node` is currently reachable (no active churn window).
+    [[nodiscard]] bool online(NodeId node) const {
+        return !conditions_.offline(node, sim_.now());
+    }
+
+private:
+    void deliver(NodeId from, NodeId to,
+                 std::shared_ptr<const Bytes> message) {
         if (to == from) return;  // self-send is a no-op, not an error
         if (to >= receivers_.size()) {
             // A destination this network never issued: count it (it was a
             // caller bug vanishing silently before) — still "sent" so the
             // sent == delivered + dropped + in-flight invariant holds.
             ++stats_.messages_sent;
-            stats_.bytes_sent += message.size();
+            stats_.bytes_sent += message->size();
             ++stats_.messages_dropped;
             ++stats_.dropped_invalid;
             return;
         }
         ++stats_.messages_sent;
-        stats_.bytes_sent += message.size();
+        stats_.bytes_sent += message->size();
         const SimTime now = sim_.now();
         if (conditions_.offline(from, now) || conditions_.offline(to, now)) {
             ++stats_.messages_dropped;
@@ -82,7 +108,7 @@ public:
                                         ? *link->bytes_per_us
                                         : params_.bytes_per_us;
         const SimTime transfer = static_cast<SimTime>(
-            static_cast<double>(message.size()) / bytes_per_us);
+            static_cast<double>(message->size()) / bytes_per_us);
         SimTime propagation = 0;
         if (link && link->latency.has_value()) {
             propagation = link->latency->sample(rng_);
@@ -105,31 +131,13 @@ public:
         } else {
             deliver_at = sim_.now() + transfer + propagation;
         }
-        sim_.schedule_at(
-            deliver_at, [this, from, to, msg = std::move(message)]() mutable {
-                ++stats_.messages_delivered;
-                receivers_[to](from, msg);
-            });
+        sim_.schedule_at(deliver_at,
+                         [this, from, to, msg = std::move(message)] {
+                             ++stats_.messages_delivered;
+                             receivers_[to](from, *msg);
+                         });
     }
 
-    /// Sends to every other node (flood).
-    void broadcast(NodeId from, const Bytes& message) {
-        for (NodeId to = 0; to < receivers_.size(); ++to) {
-            if (to != from) send(from, to, message);
-        }
-    }
-
-    [[nodiscard]] const TrafficStats& stats() const { return stats_; }
-    [[nodiscard]] const LinkParams& params() const { return params_; }
-    [[nodiscard]] const NetworkConditions& conditions() const {
-        return conditions_;
-    }
-    /// Whether `node` is currently reachable (no active churn window).
-    [[nodiscard]] bool online(NodeId node) const {
-        return !conditions_.offline(node, sim_.now());
-    }
-
-private:
     Simulation& sim_;
     LinkParams params_;
     NetworkConditions conditions_;

@@ -1,6 +1,7 @@
 #include "node/node.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -118,19 +119,27 @@ void Node::handle_message(net::NodeId from, const Bytes& message) {
     try {
         switch (kind) {
             case MsgKind::tx: {
-                // Decoding is canonical, so the hash of the received bytes
-                // is the tx id: a duplicate costs one keccak and nothing
-                // else, and a new tx is relayed as received.
-                const Hash32 id = crypto::keccak256(body);
-                if (already_seen(id)) return;
+                // Decoding is canonical, so the received bytes are the
+                // tx's encoding: a copy of a pending tx takes the pooled
+                // id (TxPool::id_of compares fields, no hashing), and only
+                // a tx the pool lacks pays a keccak of the bytes. A new tx
+                // is relayed as received.
                 const chain::Transaction tx = chain::Transaction::decode(body);
+                const std::optional<Hash32> pooled = pool_.id_of(tx);
+                const Hash32 id = pooled ? *pooled : crypto::keccak256(body);
+                if (already_seen(id)) return;
                 mark_seen(id);
                 if (pool_.add(tx, id)) broadcast(MsgKind::tx, body);
                 return;
             }
             case MsgKind::block: {
+                // The header bytes give the id before the tx list is
+                // decoded, so a duplicate block stops here.
+                const Hash32 id = chain::Block::hash_encoded(body);
+                if (already_seen(id)) return;
                 const chain::Block block = chain::Block::decode(body);
-                handle_block(from, block);
+                mark_seen(id);
+                import_block(block, body, from);
                 return;
             }
             case MsgKind::get_block: {
@@ -153,13 +162,6 @@ void Node::handle_message(net::NodeId from, const Bytes& message) {
     } catch (const Error&) {
         // Malformed gossip is dropped, matching devp2p behaviour.
     }
-}
-
-void Node::handle_block(net::NodeId from, const chain::Block& block) {
-    const Hash32 id = block.hash();
-    if (already_seen(id)) return;
-    mark_seen(id);
-    import_block(block, /*relay=*/true, from);
 }
 
 Hash32 Node::earliest_missing_ancestor(Hash32 hash) const {
@@ -191,7 +193,7 @@ void Node::request_block(net::NodeId peer, const Hash32& hash) {
     transport_.send(id_, peer, std::move(message));
 }
 
-void Node::import_block(const chain::Block& block, bool relay,
+void Node::import_block(const chain::Block& block, BytesView wire,
                         net::NodeId origin) {
     // Txs this node's pool holds were verified on admission; the chain
     // skips their signature checks (see Blockchain::import_block).
@@ -219,7 +221,7 @@ void Node::import_block(const chain::Block& block, bool relay,
                     pool_.prune_stale(chain_->account_nonces());
                 heads_since_prune_ = 0;
             }
-            if (relay) broadcast(MsgKind::block, block.encode());
+            broadcast(MsgKind::block, wire);
             notify_new_head();
             retry_orphans();
             if (started_) schedule_mining();
@@ -227,7 +229,7 @@ void Node::import_block(const chain::Block& block, bool relay,
         }
         case chain::ImportStatus::added_side:
             ++stats_.blocks_imported;
-            if (relay) broadcast(MsgKind::block, block.encode());
+            broadcast(MsgKind::block, wire);
             retry_orphans();
             return;
         case chain::ImportStatus::orphan: {
@@ -267,7 +269,7 @@ void Node::retry_orphans() {
                 it = orphans_.erase(it);
                 for (const chain::Block& child : children) {
                     orphan_parent_.erase(child.hash());
-                    import_block(child, /*relay=*/true, id_);
+                    import_block(child, child.encode(), id_);
                 }
                 progressed = true;
                 break;  // maps mutated; restart scan
@@ -297,7 +299,8 @@ void Node::on_block_found(std::uint64_t generation) {
     const std::uint64_t timestamp = net::to_ms(transport_.now());
     const auto txs =
         pool_.select(config_.chain.block_gas_limit, chain_->account_nonces());
-    chain::Block block = chain_->build_block(key_.address(), txs, timestamp);
+    chain::Block block =
+        chain_->build_block(key_.address(), txs, timestamp, pool_);
     const auto nonce =
         chain::mine_seal(block.header, rng_.next_u64(), config_.max_seal_attempts);
     if (!nonce.has_value()) {
@@ -308,7 +311,7 @@ void Node::on_block_found(std::uint64_t generation) {
     block.header.pow_nonce = *nonce;
     ++stats_.blocks_mined;
     mark_seen(block.hash());
-    import_block(block, /*relay=*/true, id_);
+    import_block(block, block.encode(), id_);
     // import_block scheduled the next round via added_head.
 }
 

@@ -125,8 +125,8 @@ public:
         return orphan_parent_.size();
     }
 
-    /// Transactions currently pooled (bounded by prune_stale amortization).
-    [[nodiscard]] std::size_t pool_size() const { return pool_.size(); }
+    /// Pending transactions (bounded by prune_stale amortization).
+    [[nodiscard]] const chain::TxPool& pool() const { return pool_; }
 
     /// Builds the genesis world state shared by all nodes: the model
     /// registry contract deployed at its well-known address.
@@ -136,8 +136,9 @@ private:
     enum class MsgKind : std::uint8_t { tx = 1, block = 2, get_block = 3 };
 
     void handle_message(net::NodeId from, const Bytes& message);
-    void handle_block(net::NodeId from, const chain::Block& block);
-    void import_block(const chain::Block& block, bool relay,
+    /// Imports `block` (whose encoding is `wire`) and relays `wire` when
+    /// the chain accepts it.
+    void import_block(const chain::Block& block, BytesView wire,
                       net::NodeId origin);
     /// Asks `peer` for the block with the given hash (ancestor sync: after
     /// a partition heals, gossiped heads reference unknown parents; walking

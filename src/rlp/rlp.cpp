@@ -54,7 +54,9 @@ struct Cursor {
         return data[pos];
     }
     [[nodiscard]] BytesView take(std::size_t n) {
-        if (pos + n > data.size()) throw DecodeError("rlp: truncated input");
+        // `pos <= data.size()` always; comparing against the remainder
+        // cannot wrap, unlike `pos + n` for a length field near 2^64.
+        if (n > data.size() - pos) throw DecodeError("rlp: truncated input");
         BytesView out = data.subspan(pos, n);
         pos += n;
         return out;
@@ -64,39 +66,46 @@ struct Cursor {
 std::size_t read_long_length(Cursor& cursor, std::size_t n_bytes) {
     if (n_bytes > 8) throw DecodeError("rlp: length field too wide");
     const BytesView raw = cursor.take(n_bytes);
+    if (raw[0] == 0) throw DecodeError("rlp: non-canonical long length");
     std::size_t length = 0;
     for (std::uint8_t b : raw) length = (length << 8) | b;
     if (length <= 55) throw DecodeError("rlp: non-canonical long length");
     return length;
 }
 
-Item decode_one(Cursor& cursor, std::size_t depth) {
-    if (depth > kMaxDepth) throw DecodeError("rlp: nesting too deep");
+struct Prefix {
+    bool is_list = false;
+    std::size_t length = 0;  // payload bytes
+};
+
+/// Reads one item's prefix and leaves the cursor at its payload (a single
+/// byte below 0x80 is its own payload, so the cursor does not move).
+Prefix read_prefix(Cursor& cursor) {
     const std::uint8_t prefix = cursor.peek();
+    if (prefix < 0x80) return {false, 1};
     ++cursor.pos;
-    if (prefix < 0x80) {
-        return Item::string(Bytes{prefix});
-    }
     if (prefix <= 0xb7) {
         const std::size_t length = prefix - 0x80;
-        const BytesView payload = cursor.take(length);
-        if (length == 1 && payload[0] < 0x80) {
+        if (length == 1 && cursor.peek() < 0x80) {
             throw DecodeError("rlp: non-canonical single byte");
         }
-        return Item::string(payload);
+        return {false, length};
     }
     if (prefix <= 0xbf) {
-        const std::size_t length = read_long_length(cursor, prefix - 0xb7);
-        return Item::string(cursor.take(length));
+        return {false, read_long_length(cursor, prefix - 0xb7)};
     }
-    std::size_t payload_length = 0;
-    if (prefix <= 0xf7) {
-        payload_length = prefix - 0xc0;
-    } else {
-        payload_length = read_long_length(cursor, prefix - 0xf7);
+    if (prefix <= 0xf7) return {true, static_cast<std::size_t>(prefix - 0xc0)};
+    return {true, read_long_length(cursor, prefix - 0xf7)};
+}
+
+Item decode_one(Cursor& cursor, std::size_t depth) {
+    if (depth > kMaxDepth) throw DecodeError("rlp: nesting too deep");
+    const Prefix prefix = read_prefix(cursor);
+    if (!prefix.is_list) return Item::string(cursor.take(prefix.length));
+    if (prefix.length > cursor.data.size() - cursor.pos) {
+        throw DecodeError("rlp: truncated list");
     }
-    const std::size_t end = cursor.pos + payload_length;
-    if (end > cursor.data.size()) throw DecodeError("rlp: truncated list");
+    const std::size_t end = cursor.pos + prefix.length;
     std::vector<Item> children;
     while (cursor.pos < end) {
         children.push_back(decode_one(cursor, depth + 1));
@@ -131,6 +140,16 @@ Bytes encode(const Item& item) {
     Bytes out;
     encode_into(item, out);
     return out;
+}
+
+BytesView first_string(BytesView data) {
+    Cursor outer{data, 0};
+    const Prefix list = read_prefix(outer);
+    if (!list.is_list) throw DecodeError("rlp: expected list");
+    Cursor cursor{outer.take(list.length), 0};
+    const Prefix first = read_prefix(cursor);
+    if (first.is_list) throw DecodeError("rlp: expected string, got list");
+    return cursor.take(first.length);
 }
 
 Item decode(BytesView data) {

@@ -54,4 +54,11 @@ private:
 /// malformed or trailing data.
 [[nodiscard]] Item decode(BytesView data);
 
+/// The payload of the first item of the list `data` starts with, read
+/// without decoding the rest (e.g. a block's header bytes before its tx
+/// list). Throws DecodeError unless `data` opens with a list whose first
+/// item is a string that fits inside it; the rest is not checked, so a
+/// full decode(data) may still fail.
+[[nodiscard]] BytesView first_string(BytesView data);
+
 }  // namespace bcfl::rlp

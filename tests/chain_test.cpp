@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -118,6 +121,27 @@ TEST(Block, EncodeDecodeRoundTrip) {
     EXPECT_EQ(back.hash(), block.hash());
     EXPECT_EQ(back.transactions.size(), 2u);
     EXPECT_EQ(back.transactions[1].hash(), block.transactions[1].hash());
+}
+
+TEST(Block, HashEncodedReadsTheHeaderBytesOnly) {
+    Block block;
+    block.header.number = 5;
+    block.header.pow_nonce = 77;
+    block.transactions.push_back(sample_tx(1, 0));
+    block.header.tx_root = block.compute_tx_root();
+    const Bytes wire = block.encode();
+    EXPECT_EQ(Block::hash_encoded(wire), block.hash());
+    EXPECT_EQ(Block::hash_encoded(wire), Block::decode(wire).hash());
+    // A block cut short fails either way: hash_encoded checks that the
+    // outer list fits the input before it reads the header.
+    Bytes truncated = wire;
+    truncated.resize(wire.size() - 1);
+    EXPECT_THROW((void)Block::decode(truncated), DecodeError);
+    EXPECT_THROW((void)Block::hash_encoded(truncated), DecodeError);
+    EXPECT_THROW((void)Block::hash_encoded(Bytes{}), DecodeError);
+    EXPECT_THROW((void)Block::hash_encoded(rlp::encode(rlp::Item::string(
+                     block.header.encode()))),
+                 DecodeError);  // a string, not a list
 }
 
 TEST(Block, DecodeRejectsStringWhereTxListBelongs) {
@@ -510,6 +534,104 @@ TEST(TxPool, PruneStaleDropsMinedNonces) {
     EXPECT_EQ(pool.prune_stale({{mined.sender(), 2}}), 0u);  // idempotent
     const auto selected = pool.select(1'000'000, {{mined.sender(), 2}});
     ASSERT_EQ(selected.size(), 2u);  // pending + other, both still viable
+}
+
+TEST(TxPool, ContentIndexStaysExactUnderRandomChurn) {
+    // id_of answers from the pending set alone through any mix of add,
+    // remove, reinject and prune_stale: the id of every pending tx,
+    // nothing for any other, and one index entry per pending tx. The
+    // universe holds near misses that share a tx's (nonce, signature R)
+    // index key but carry another payload; reinject (which trusts its
+    // caller) pools them next to the original, so the index must also
+    // tell apart two pending txs under one key.
+    std::vector<Transaction> universe;
+    for (std::uint64_t seed = 20; seed < 23; ++seed) {
+        const KeyPair key = KeyPair::from_seed(seed);
+        for (std::uint64_t nonce = 0; nonce < 4; ++nonce) {
+            for (std::uint64_t price = 1; price <= 2; ++price) {
+                universe.push_back(Transaction::make_signed(
+                    key, nonce, Address{}, 60'000, price, Bytes(8, 0x11)));
+                Transaction near = universe.back();
+                near.data[3] ^= 0x01;
+                universe.push_back(Transaction::decode(near.encode()));
+            }
+        }
+    }
+    std::vector<Hash32> ids;
+    for (const Transaction& tx : universe) ids.push_back(tx.hash());
+
+    TxPool pool;
+    std::vector<bool> pending(universe.size(), false);
+    Rng rng(0x1d0f);
+    std::size_t collisions = 0;
+    std::size_t pruned = 0;
+    for (int step = 0; step < 400; ++step) {
+        const std::size_t i = rng.next_below(universe.size());
+        switch (rng.next_below(4)) {
+            case 0: {
+                // Near misses (odd i) fail the signature check.
+                const bool added = pool.add(universe[i], ids[i]);
+                EXPECT_EQ(added, !pending[i] && i % 2 == 0) << "step " << step;
+                pending[i] = pending[i] || added;
+                break;
+            }
+            case 1: {
+                std::vector<Hash32> gone;
+                for (std::size_t k = rng.next_below(3) + 1; k > 0; --k) {
+                    const std::size_t j = rng.next_below(universe.size());
+                    gone.push_back(ids[j]);
+                    pending[j] = false;
+                }
+                pool.remove(gone);
+                break;
+            }
+            case 2: {
+                std::vector<Transaction> txs;
+                std::vector<Hash32> tx_ids;
+                for (std::size_t k = rng.next_below(3) + 1; k > 0; --k) {
+                    const std::size_t j = rng.next_below(universe.size());
+                    txs.push_back(universe[j]);
+                    tx_ids.push_back(ids[j]);
+                    collisions += pending[j ^ 1] && !pending[j] ? 1 : 0;
+                    pending[j] = true;
+                }
+                pool.reinject(txs, tx_ids);
+                break;
+            }
+            default: {
+                const Address sender = universe[i].sender();
+                const std::uint64_t next = rng.next_below(4);
+                std::size_t want = 0;
+                for (std::size_t j = 0; j < universe.size(); ++j) {
+                    if (pending[j] && universe[j].sender() == sender &&
+                        universe[j].nonce < next) {
+                        pending[j] = false;
+                        ++want;
+                    }
+                }
+                EXPECT_EQ(pool.prune_stale({{sender, next}}), want)
+                    << "step " << step;
+                pruned += want;
+                break;
+            }
+        }
+        const auto live = static_cast<std::size_t>(
+            std::count(pending.begin(), pending.end(), true));
+        ASSERT_EQ(pool.size(), live) << "step " << step;
+        ASSERT_EQ(pool.content_index_size(), live) << "step " << step;
+        for (std::size_t j = 0; j < universe.size(); ++j) {
+            const std::optional<Hash32> got = pool.id_of(universe[j]);
+            if (pending[j]) {
+                ASSERT_TRUE(got.has_value()) << "step " << step << ", tx " << j;
+                EXPECT_EQ(*got, ids[j]) << "step " << step << ", tx " << j;
+            } else {
+                EXPECT_FALSE(got.has_value())
+                    << "step " << step << ", tx " << j;
+            }
+        }
+    }
+    EXPECT_GT(collisions, 10u) << "the stream no longer pools near misses";
+    EXPECT_GT(pruned, 10u) << "the stream no longer prunes";
 }
 
 /// The historical O(n²) multi-pass selection loop, kept verbatim as the
@@ -1271,6 +1393,81 @@ TEST(BlockchainIndices, PoolOracleImportMatchesFullVerification) {
     }
     EXPECT_GT(reorgs, 2u) << "the stream no longer switches branches";
     EXPECT_GT(forged_rejections, 5u) << "the stream no longer forges";
+}
+
+TEST(BlockchainIndices, NearMissOfPooledTxNeverTakesItsId) {
+    // Differential: a block tx that shares a pooled tx's nonce and
+    // signature R — the key TxPool::id_of indexes on — but differs in one
+    // encoded field must never take the pooled id. Importing it with the
+    // pool gives import_block's result without the pool, and a miner
+    // building from the pool seals the tx root a full hash would.
+    using namespace indices;
+    const ChainConfig config = fixed_config();
+    const Address miner = KeyPair::from_seed(60).address();
+    TxPool pool;
+    const Transaction pooled = Transaction::make_signed(
+        KeyPair::from_seed(7), 0, Address{}, 200'000, 3, Bytes(300, 0x42));
+    ASSERT_TRUE(pool.add(pooled));
+    const Address other = KeyPair::from_seed(8).address();
+    const crypto::U256 one{1};
+    const std::vector<std::pair<std::string, std::function<void(Transaction&)>>>
+        mutations = {
+            {"data first byte", [](Transaction& tx) { tx.data.front() ^= 1; }},
+            {"data last byte", [](Transaction& tx) { tx.data.back() ^= 0x80; }},
+            {"data one byte longer", [](Transaction& tx) { tx.data.push_back(0x42); }},
+            {"to", [&](Transaction& tx) { tx.to = other; }},
+            {"gas_limit", [](Transaction& tx) { ++tx.gas_limit; }},
+            {"gas_price", [](Transaction& tx) { ++tx.gas_price; }},
+            {"signature.s",
+             [&](Transaction& tx) { tx.signature.s = add(tx.signature.s, one); }},
+            {"signature.ry",
+             [&](Transaction& tx) {
+                 tx.signature.ry = sub(crypto::field_prime(), tx.signature.ry);
+             }},
+            {"pub.y",  // the negated key: still a curve point
+             [&](Transaction& tx) {
+                 tx.sender_pub.y = sub(crypto::field_prime(), tx.sender_pub.y);
+             }},
+            {"pub.x", [&](Transaction& tx) { tx.sender_pub.x = add(tx.sender_pub.x, one); }},
+        };
+    const auto import_both = [&](const Transaction& tx) {
+        Blockchain full(config, std::make_shared<NullExecutor>());
+        Blockchain with_pool(config, std::make_shared<NullExecutor>());
+        Block block = full.build_block(miner, {tx}, 1000, pool);
+        EXPECT_EQ(block.header.tx_root,
+                  full.build_block(miner, {tx}, 1000).header.tx_root);
+        EXPECT_EQ(block.header.tx_root, block.compute_tx_root());
+        block.header.pow_nonce = *mine_seal(block.header, 0, 10'000'000);
+        const ImportResult want = full.import_block(block);
+        const ImportResult got = with_pool.import_block(block, pool);
+        EXPECT_EQ(got.status, want.status);
+        EXPECT_EQ(got.reason, want.reason);
+        EXPECT_EQ(with_pool.head_hash(), full.head_hash());
+        return want;
+    };
+
+    for (const auto& [field, mutate] : mutations) {
+        SCOPED_TRACE(field);
+        Transaction mutated = pooled;
+        mutate(mutated);
+        // Decoded, as a block tx arrives: no cached sender carries over.
+        const Transaction near = Transaction::decode(mutated.encode());
+        ASSERT_NE(near.hash(), pooled.hash());
+        EXPECT_FALSE(pool.id_of(near).has_value());
+        const ImportResult result = import_both(near);
+        EXPECT_EQ(result.status, ImportStatus::rejected);
+        EXPECT_EQ(result.reason, "bad tx signature");
+    }
+
+    // The pooled tx itself takes its id and imports; with the unencoded
+    // infinity flag set it still takes the id (the bytes are the same),
+    // but its signature is checked and fails, with or without the pool.
+    EXPECT_EQ(pool.id_of(pooled), pooled.hash());
+    EXPECT_EQ(import_both(pooled).status, ImportStatus::added_head);
+    Transaction flagged = pooled;
+    flagged.sender_pub.infinity = true;
+    EXPECT_EQ(pool.id_of(flagged), pooled.hash());
+    EXPECT_EQ(import_both(flagged).status, ImportStatus::rejected);
 }
 
 TEST(IntrinsicGas, ChargesPerByte) {

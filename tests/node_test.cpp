@@ -326,19 +326,28 @@ private:
     std::vector<crypto::WorkCounters> work_;
 };
 
-TEST(NodeHashWork, ChunkTxIsHashedTwiceAndVerifiedOncePerNode) {
-    // One 128 KiB storeChunk tx, followed from submission at node 0 through
-    // full-mesh gossip (every node also receives the two relayed copies
-    // it already holds), mining at node 1 and import at every node, with
-    // each node's hashing counted exactly. Difficulty 1 makes the first
-    // nonce seal, so PoW grinding adds one header-sized keccak per block.
+/// One 128 KiB storeChunk tx, followed from submission at node 0 of a
+/// `roster`-node full mesh through gossip (every node also receives the
+/// relayed copies of a tx it already holds), mining at node 1 and import
+/// at every node, with each node's hashing counted exactly. Difficulty 1
+/// makes the first nonce seal, so PoW grinding adds one header-sized
+/// keccak per block.
+struct ChunkTxRun {
+    chain::Transaction tx;
+    std::size_t wire_bytes = 0;
+    /// One Schnorr verification hashes R, the public key and the payload.
+    std::uint64_t verify_bytes = 0;
+    std::vector<crypto::WorkCounters> work;  // per node
+};
+
+ChunkTxRun run_chunk_tx(std::uint64_t roster) {
     net::SimTransport sim(net::LinkParams{}, /*seed=*/5);
     WorkByNode transport(sim);
     chain::ChainConfig chain_config;
     chain_config.initial_difficulty = 1;
     chain_config.fixed_difficulty = true;
     std::vector<std::unique_ptr<Node>> nodes;
-    for (std::uint64_t i = 0; i < 3; ++i) {
+    for (std::uint64_t i = 0; i < roster; ++i) {
         NodeConfig config;
         config.chain = chain_config;
         config.key_seed = 400 + i;
@@ -349,16 +358,16 @@ TEST(NodeHashWork, ChunkTxIsHashedTwiceAndVerifiedOncePerNode) {
     }
     Bytes calldata = abi::chunk_calldata(1, 0, Bytes(128 * 1024, 0x5a));
     const std::uint64_t gas_limit = 21'000 + 16 * calldata.size() + 300'000;
-    const auto tx = chain::Transaction::make_signed(
+    ChunkTxRun run;
+    run.tx = chain::Transaction::make_signed(
         nodes[0]->key(), 0, vm::registry_address(), gas_limit, 1,
         std::move(calldata));
-    const std::size_t wire_bytes = tx.encode().size();
-    // One Schnorr verification hashes R, the public key and the payload.
-    const std::uint64_t verify_bytes = 4 * 32 + tx.signing_payload().size();
+    run.wire_bytes = run.tx.encode().size();
+    run.verify_bytes = 4 * 32 + run.tx.signing_payload().size();
 
-    transport.book(0, [&] { nodes[0]->submit_tx(tx); });
+    transport.book(0, [&] { nodes[0]->submit_tx(run.tx); });
     sim.sim().run_until(net::seconds(2));
-    for (const auto& node : nodes) ASSERT_EQ(node->pool_size(), 1u);
+    for (const auto& node : nodes) EXPECT_EQ(node->pool().size(), 1u);
     nodes[1]->start();
     transport.run(
         [&] {
@@ -369,43 +378,81 @@ TEST(NodeHashWork, ChunkTxIsHashedTwiceAndVerifiedOncePerNode) {
         net::seconds(600));
 
     for (const auto& node : nodes) {
-        ASSERT_EQ(node->chain().height(), 1u) << "node " << node->id();
-        const auto loc = node->chain().locate_tx(tx.hash());
-        ASSERT_TRUE(loc.has_value()) << "node " << node->id();
-        EXPECT_EQ(loc->block_number, 1u);
-        EXPECT_EQ(node->pool_size(), 0u);
+        EXPECT_EQ(node->chain().height(), 1u) << "node " << node->id();
+        const auto loc = node->chain().locate_tx(run.tx.hash());
+        EXPECT_TRUE(loc.has_value()) << "node " << node->id();
+        EXPECT_EQ(loc ? loc->block_number : 0u, 1u);
+        EXPECT_EQ(node->pool().size(), 0u);
         EXPECT_EQ(node->stats().blocks_rejected, 0u);
     }
+    for (net::NodeId i = 0; i < roster; ++i) {
+        run.work.push_back(transport.work(i));
+    }
+    return run;
+}
+
+TEST(NodeHashWork, ChunkTxIsHashedTwiceAndVerifiedOncePerNode) {
+    const ChunkTxRun run = run_chunk_tx(3);
+    const std::uint64_t verify_bytes = run.verify_bytes;
 
     // SHA-256: one signature verification per node, on pool admission.
     // Block import finds the tx's id in the pool and skips the check. (The
     // import used to verify again: 2 * verify_bytes = 262606 per node.)
     //
     // Keccak, per node, in units of the tx's full encoding
-    // (wire_bytes = 131339): one hash per received copy (the duplicate
-    // check runs over the received bytes and is the tx id), one at
-    // submission (node 0), one for the root the miner seals (node 1), and
-    // one in block validation, whose ids then serve the tx root, the pool,
-    // indexing and the executor key. On top, every node's EVM hashes the
-    // 131072-byte chunk once (storeChunk's SHA3), and header, merkle,
-    // address and state hashes add 1403 bytes (2041 at the miner).
-    //   node  full hashes  keccak bytes  calls   before: full  bytes    calls
-    //   0     4            657831        15              8     1183187  19
-    //   1     4            658469        20              9     1315164  25
-    //   2     3            526492        14              7     1051848  18
-    // "Before" is the previous node, which rehashed the encoding on gossip
-    // receive, pool add and remove, the executor key and chain indexing.
-    ASSERT_EQ(wire_bytes, 131339u);
+    // (wire_bytes = 131339): one, when the node first meets the tx — at
+    // submission (node 0) or on its first gossip copy (nodes 1 and 2).
+    // Every later copy, the miner's tx root and every block import take
+    // the pooled tx's id (TxPool::id_of compares fields; nothing is
+    // hashed). On top, every node's EVM hashes the 131072-byte chunk once
+    // (storeChunk's SHA3), and header, merkle, address and state hashes
+    // add 1403 bytes (2041 at the miner).
+    //   node  full hashes  keccak bytes  calls
+    //   0     1            263814        12
+    //   1     1            264452        17
+    //   2     1            263814        12
+    // Before, each node also hashed every gossip copy (duplicates
+    // included) and the block's tx encodings on import, and the miner
+    // hashed them again for the tx root it sealed:
+    //   0     4            657831        15
+    //   1     4            658469        20
+    //   2     3            526492        14
+    // and before that the node rehashed the encoding on gossip receive,
+    // pool add and remove, the executor key and chain indexing
+    // (8 / 9 / 7 full hashes; 1183187 / 1315164 / 1051848 bytes).
+    ASSERT_EQ(run.wire_bytes, 131339u);
     const crypto::WorkCounters want[3] = {
-        {15, 657831, verify_bytes},
-        {20, 658469, verify_bytes},
-        {14, 526492, verify_bytes},
+        {12, 263814, verify_bytes},
+        {17, 264452, verify_bytes},
+        {12, 263814, verify_bytes},
     };
     for (net::NodeId i = 0; i < 3; ++i) {
-        const crypto::WorkCounters& got = transport.work(i);
+        const crypto::WorkCounters& got = run.work[i];
         EXPECT_EQ(got.keccak_calls, want[i].keccak_calls) << "node " << i;
         EXPECT_EQ(got.keccak_bytes, want[i].keccak_bytes) << "node " << i;
         EXPECT_EQ(got.sha256_bytes, want[i].sha256_bytes) << "node " << i;
+    }
+}
+
+TEST(NodeHashWork, ChunkEncodingIsHashedOncePerNodeWhateverTheRoster) {
+    // A full mesh of n nodes delivers n-1 copies of the tx and of the
+    // block to every node; none of them may add a full-encoding hash.
+    // Besides the one encoding hash and the EVM's SHA3 over the chunk, a
+    // node's keccak work is header, merkle, address and state hashing,
+    // which together stay well under one encoding.
+    constexpr std::uint64_t kChunkBytes = 128 * 1024;
+    for (const std::uint64_t roster : {3u, 6u}) {
+        const ChunkTxRun run = run_chunk_tx(roster);
+        ASSERT_EQ(run.work.size(), roster);
+        for (net::NodeId i = 0; i < roster; ++i) {
+            const crypto::WorkCounters& got = run.work[i];
+            ASSERT_GE(got.keccak_bytes, kChunkBytes);
+            EXPECT_EQ((got.keccak_bytes - kChunkBytes) / run.wire_bytes, 1u)
+                << "roster " << roster << ", node " << i << ": "
+                << got.keccak_bytes << " keccak bytes";
+            EXPECT_EQ(got.sha256_bytes, run.verify_bytes)
+                << "roster " << roster << ", node " << i;
+        }
     }
 }
 

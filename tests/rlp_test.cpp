@@ -100,6 +100,57 @@ TEST(Rlp, RejectsNonCanonical) {
     EXPECT_THROW((void)decode(from_hex("820001")).as_u64(), DecodeError);
 }
 
+TEST(Rlp, RejectsLengthFieldWithLeadingZero) {
+    // A 56-byte payload takes one length byte (b8 38, f8 38); b9 0038 and
+    // f9 0038 spell the same length with a leading zero, which encode()
+    // never writes, so two byte strings would decode to one item.
+    Bytes string_wire = from_hex("b90038");
+    string_wire.resize(3 + 56, 'a');
+    EXPECT_THROW(decode(string_wire), DecodeError);
+    Bytes list_wire = from_hex("f90038");
+    list_wire.resize(3 + 56, 'a');
+    EXPECT_THROW(decode(list_wire), DecodeError);
+    string_wire[1] = 0x01;  // b9 0138: a 312-byte length is fine...
+    string_wire.resize(3 + 0x138, 'a');
+    EXPECT_EQ(decode(string_wire).data().size(), 0x138u);
+}
+
+TEST(Rlp, LengthPastTheInputIsRejectedWithoutWrapping) {
+    // An 8-byte length field near 2^64 used to wrap the bounds check
+    // (`pos + n` overflowed) and hand a span past the input to the copy.
+    EXPECT_THROW(decode(from_hex("bfffffffffffffffff")), DecodeError);
+    EXPECT_THROW(decode(from_hex("bffffffffffffffff7")), DecodeError);
+    EXPECT_THROW(decode(from_hex("ffffffffffffffffff")), DecodeError);
+    EXPECT_THROW((void)first_string(from_hex("c9bfffffffffffffffff")),
+                 DecodeError);
+}
+
+TEST(Rlp, FirstStringReadsOnlyTheFirstItem) {
+    const Bytes wire = encode(Item::list(
+        {Item::string(str_bytes("header")),
+         Item::list({Item::string(str_bytes("tx"))})}));
+    const BytesView header = first_string(wire);
+    EXPECT_EQ(Bytes(header.begin(), header.end()), str_bytes("header"));
+    const Bytes single = from_hex("c26162");
+    const BytesView a = first_string(single);  // a byte below 0x80 is itself
+    EXPECT_EQ(Bytes(a.begin(), a.end()), str_bytes("a"));
+    // The rest of the list is not read: a tail decode() rejects is fine.
+    const Bytes bad_tail = from_hex("c684646f676381");
+    EXPECT_THROW(decode(bad_tail), DecodeError);
+    EXPECT_EQ(first_string(bad_tail).size(), 4u);
+    // Wrong shapes are typed errors.
+    EXPECT_THROW((void)first_string(enc_str("dog")), DecodeError);  // no list
+    EXPECT_THROW((void)first_string(from_hex("c0")), DecodeError);  // empty
+    EXPECT_THROW((void)first_string(encode(Item::list({Item::list({})}))),
+                 DecodeError);  // list first
+    EXPECT_THROW((void)first_string(from_hex("c483646f")),
+                 DecodeError);  // list runs past the input
+    EXPECT_THROW((void)first_string(from_hex("c384646f67")),
+                 DecodeError);  // string runs past the list
+    EXPECT_THROW((void)first_string(from_hex("c2817f")),
+                 DecodeError);  // non-canonical single byte
+}
+
 TEST(Rlp, ListPayloadOverrunRejected) {
     // List claims 2 payload bytes but contains an item spanning 3.
     EXPECT_THROW(decode(from_hex("c2826162")), DecodeError);
